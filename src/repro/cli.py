@@ -7,12 +7,9 @@ Subcommands::
     ebl-sim sweep {packet-size,platoon-size,tdma-slots}
     ebl-sim campaign --trial 1 --seeds 5 --fault-plan light [--resume]
                      [--sanitize] [--trace-dir DIR]
-    ebl-sim bench [--profile smoke|paper] [--output BENCH_trials.json]
-                  [--compare BASELINE] [--observe] [--sanitize] [--trace]
-                  [--profile-wall] [--flamegraph PREFIX]
     ebl-sim inspect --trial 1 [--export PREFIX]
     ebl-sim trace --trial 1 [--uid N|initial-warning] [--perfetto OUT.json]
-                  [--jsonl OUT.jsonl] [--profile-wall] [--flamegraph OUT]
+                  [--jsonl OUT.jsonl]
     ebl-sim sanitize [--trial all | --config FILE] [--fault-plan light]
     ebl-sim fuzz --seed 1 --count 25 [--output fuzz-report.json]
     ebl-sim lint [paths ...]
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.core.analysis import analyze_trial
 from repro.core.runner import run_trial
@@ -43,7 +40,6 @@ from repro.experiments.sweeps import (
     platoon_size_sweep,
     tdma_slot_ablation,
 )
-from repro.perf.bench import DEFAULT_THRESHOLD, PROFILES
 
 TRIALS = {1: TRIAL_1, 2: TRIAL_2, 3: TRIAL_3}
 
@@ -254,55 +250,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        compare_reports,
-        format_report,
-        load_report,
-        run_bench,
-        write_report,
-    )
-
-    report = run_bench(
-        profile=args.profile,
-        repeats=args.repeat,
-        duration=args.duration,
-        observe=args.observe,
-        sanitize=args.sanitize,
-        trace=args.trace,
-        profile_wall=args.profile_wall,
-    )
-    print(format_report(report))
-    if args.flamegraph:
-        for name, entry in sorted(report["trials"].items()):
-            collapsed = entry.get("collapsed")
-            if not collapsed:
-                continue
-            path = f"{args.flamegraph}.{name}.folded"
-            with open(path, "w", encoding="utf-8") as stream:
-                for line in collapsed:
-                    stream.write(line + "\n")
-            print(f"wrote {len(collapsed)} collapsed stacks -> {path}")
-    if args.output:
-        write_report(report, args.output)
-        print(f"bench report written to {args.output}")
-    if args.compare:
-        baseline = load_report(args.compare)
-        regressions = compare_reports(
-            report, baseline, threshold=args.threshold
-        )
-        if regressions:
-            print(f"PERFORMANCE REGRESSION vs {args.compare}:")
-            for message in regressions:
-                print(f"  {message}")
-            return 1
-        print(
-            f"no regression vs {args.compare} "
-            f"(threshold {100 * args.threshold:.0f}%)"
-        )
-    return 0
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.obs.config import ObservabilityConfig
     from repro.obs.export import (
@@ -401,6 +348,18 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _uid_arg(text: str) -> Union[int, str]:
+    """``trace --uid``: a packet uid, or ``initial-warning``/``auto``."""
+    if text in ("initial-warning", "auto"):
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a packet uid or 'initial-warning', got {text!r}"
+        ) from None
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.config import ObservabilityConfig
     from repro.obs.tracing import (
@@ -423,7 +382,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             journeys=False,
             tracing=True,
             max_spans=args.max_spans,
-            profile_wall=args.profile_wall,
         ),
     )
     result = run_trial(config)
@@ -468,7 +426,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 f"(flow {flow.src}->{flow.dst})"
             )
         else:
-            uid = int(args.uid)
+            uid = args.uid
 
     if uid is not None:
         print()
@@ -515,15 +473,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_spans_jsonl(args.jsonl, spans)
         print(f"wrote {len(spans)} spans -> {args.jsonl}")
 
-    if args.profile_wall and obs.profiler is not None:
-        print()
-        print(obs.profiler.report(top=15))
-        if args.flamegraph:
-            lines = obs.profiler.write_collapsed(args.flamegraph)
-            print(
-                f"wrote {lines} collapsed stacks -> {args.flamegraph} "
-                "(feed to flamegraph.pl / speedscope)"
-            )
     return 0
 
 
@@ -686,62 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "trials only")
     camp_p.set_defaults(func=_cmd_campaign)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="wall-clock benchmark of the canonical trials "
-        "(schema-versioned JSON report, optional regression gate)",
-    )
-    bench_p.add_argument(
-        "--profile", choices=sorted(PROFILES), default="paper",
-        help="named duration/repeat preset (default: paper)",
-    )
-    bench_p.add_argument(
-        "--repeat", type=int, default=None,
-        help="override the profile's repeat count (best-of-N)",
-    )
-    bench_p.add_argument(
-        "--duration", type=float, default=None,
-        help="override every trial's simulated duration, seconds",
-    )
-    bench_p.add_argument(
-        "--output", default=None,
-        help="write the JSON report here (e.g. BENCH_trials.json)",
-    )
-    bench_p.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="compare against a previous report; exit 1 on regression",
-    )
-    bench_p.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help="relative slowdown tolerated by --compare (default 0.15)",
-    )
-    bench_p.add_argument(
-        "--observe", action="store_true",
-        help="bench with the metric registry and journey tracker enabled "
-        "(measures observability overhead; report includes metrics)",
-    )
-    bench_p.add_argument(
-        "--sanitize", action="store_true",
-        help="bench with the runtime invariant sanitizer enabled "
-        "(measures sanitizer overhead; report includes violation counts)",
-    )
-    bench_p.add_argument(
-        "--trace", action="store_true",
-        help="bench with the causal span tracer recording (measures "
-        "tracing overhead; report includes span counts)",
-    )
-    bench_p.add_argument(
-        "--profile-wall", action="store_true",
-        help="attribute host wall-clock per component during the benched "
-        "runs; report includes the hottest collapsed stacks",
-    )
-    bench_p.add_argument(
-        "--flamegraph", metavar="PREFIX", default=None,
-        help="with --profile-wall, write PREFIX.<trial>.folded "
-        "collapsed-stack files for flamegraph.pl / speedscope",
-    )
-    bench_p.set_defaults(func=_cmd_bench)
-
     ins_p = sub.add_parser(
         "inspect",
         help="run a trial with full telemetry and render its metrics, "
@@ -767,12 +660,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace",
         help="record a causal span trace of one trial; print causal "
-        "chains, filter spans, export Perfetto/JSONL, profile wall time",
+        "chains, filter spans, export Perfetto/JSONL",
     )
     trace_p.add_argument("--trial", type=int, choices=(1, 2, 3), default=1)
     trace_p.add_argument("--duration", type=float, default=12.0)
     trace_p.add_argument(
-        "--uid", default=None,
+        "--uid", type=_uid_arg, default=None,
         help="packet uid to explain: print its journey spans and the "
         "causal chain of its delivery; the literal 'initial-warning' "
         "resolves the trial's first delivered brake warning",
@@ -811,14 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--jsonl", metavar="OUT.jsonl", default=None,
         help="export the resolved spans as compact JSONL",
-    )
-    trace_p.add_argument(
-        "--profile-wall", action="store_true",
-        help="also attribute host wall-clock time per component",
-    )
-    trace_p.add_argument(
-        "--flamegraph", metavar="OUT", default=None,
-        help="with --profile-wall, write collapsed stacks here",
     )
     trace_p.set_defaults(func=_cmd_trace)
 

@@ -16,6 +16,7 @@ Trial    Packet size   MAC type
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Optional
 
 from repro.faults.schedule import FaultPlan
@@ -128,11 +129,13 @@ class TrialConfig:
             )
         if self.platoon_size < 2:
             raise ValueError("platoon_size must be at least 2 (lead + follower)")
-        if self.speed_mps <= 0:
+        # Written as "not in (0, inf)" so NaN and +inf fail here, not
+        # deep inside the kernel once the scenario is built.
+        if not 0 < self.speed_mps < inf:
             raise ValueError("speed_mps must be positive")
-        if self.duration <= 0:
+        if not 0 < self.duration < inf:
             raise ValueError("duration must be positive")
-        if self.throughput_interval <= 0:
+        if not 0 < self.throughput_interval < inf:
             raise ValueError("throughput_interval must be positive")
         if self.queue_limit <= 0:
             raise ValueError("queue_limit must be positive")

@@ -39,7 +39,7 @@ class Environment:
         self._queue: list[tuple] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
-        #: Events processed so far (the bench harness's events/sec metric).
+        #: Events processed so far (heartbeat and trace telemetry).
         self.events_processed = 0
         #: Scenario/trial name, stamped by the scenario builder so
         #: :class:`SchedulingError` messages identify the failing run in
@@ -49,8 +49,6 @@ class Environment:
         #: means the untraced fast path — :meth:`run` and :meth:`schedule`
         #: then do no tracing work at all).
         self._span_tracer: Optional[Any] = None
-        #: Wall-clock profiler installed by :meth:`_install_wall_profiler`.
-        self._wall_profiler: Optional[Any] = None
 
     def _context_suffix(self) -> str:
         """`` [scenario=...]`` when a label is set (error paths only)."""
@@ -217,16 +215,6 @@ class Environment:
             (entry[0], entry[1], entry[2], entry[3]) for entry in self._queue
         ]
 
-    def _install_wall_profiler(self, profiler: Any) -> None:
-        """Attach a wall-clock profiler (timed around every callback run)."""
-        if self._wall_profiler is not None:
-            raise SimulationError("a wall profiler is already installed")
-        self._wall_profiler = profiler
-
-    def _uninstall_wall_profiler(self) -> None:
-        """Detach the wall-clock profiler."""
-        self._wall_profiler = None
-
     def step(self) -> None:
         """Process the single next event, advancing simulated time."""
         try:
@@ -249,15 +237,8 @@ class Environment:
                 tracer.raw_callbacks.append(callbacks)
             else:
                 tracer.dropped += 1
-        profiler = self._wall_profiler
-        if profiler is not None:
-            profiler.begin(event, callbacks)
-            for callback in callbacks:
-                callback(event)
-            profiler.end()
-        else:
-            for callback in callbacks:
-                callback(event)
+        for callback in callbacks:
+            callback(event)
 
         if event._ok is False and not event.defused:
             # Nobody handled the failure: surface it to the caller of run().
@@ -296,17 +277,15 @@ class Environment:
         # ``events_processed`` is updated in-loop (not batched into a
         # local and flushed on exit) so heartbeat callbacks running *inside*
         # this loop observe a current count.
-        # Three loop variants, selected once: the plain loop (no
-        # instrumentation attached — per-event cost identical to before
-        # tracing existed), the span-traced loop (minimal extra work:
-        # one bounds check and two list appends per event, everything
-        # else resolved lazily at query time), and the profiled loop
-        # (wall-clock reads bracket every callback batch).
+        # Two loop variants, selected once: the plain loop (no tracer
+        # attached — per-event cost identical to before tracing
+        # existed) and the span-traced loop (minimal extra work: one
+        # bounds check and two list appends per event, everything else
+        # resolved lazily at query time).
         queue = self._queue
         strict = self._strict
         pop = heappop
         tracer = self._span_tracer
-        profiler = self._wall_profiler
         # While a tracer is recording, every executed event and callback
         # list is pinned in its raw store.  That retention makes the
         # cyclic collector pathological — each generation-2 pass rescans
@@ -318,7 +297,7 @@ class Environment:
         if gc_was_enabled:
             gc.disable()
         try:
-            if tracer is None and profiler is None:
+            if tracer is None:
                 while queue:
                     at, _, _, event = pop(queue)
                     if strict and at < self._now:
@@ -334,8 +313,8 @@ class Environment:
                         # Nobody handled the failure: surface it to
                         # run()'s caller.
                         raise event._value
-            elif profiler is None:
-                # Span tracing only: the heap entries are six-tuples (see
+            else:
+                # Span tracing: the heap entries are six-tuples (see
                 # _install_span_tracer); record the popped entry and the
                 # detached callback list verbatim — attribution, parent
                 # resolution and packet stitching all happen off the hot
@@ -361,41 +340,6 @@ class Environment:
                         tracer.dropped += 1
                     for callback in callbacks:
                         callback(event)
-
-                    if event._ok is False and not event.defused:
-                        raise event._value
-            else:
-                # Profiled loop (with or without the span tracer).  The
-                # profiler owns the wall clock — the kernel itself never
-                # reads host time.
-                pbegin = profiler.begin
-                pend = profiler.end
-                room = (
-                    tracer.max_spans - len(tracer.raw)
-                    if tracer is not None
-                    else 0
-                )
-                while queue:
-                    item = pop(queue)
-                    at = item[0]
-                    event = item[3]
-                    if strict and at < self._now:
-                        raise self._past_event_error(at, event)
-                    self._now = at
-                    self.events_processed += 1
-
-                    callbacks, event.callbacks = event.callbacks, None
-                    if tracer is not None:
-                        if room > 0:
-                            room -= 1
-                            tracer.raw.append(item)
-                            tracer.raw_callbacks.append(callbacks)
-                        else:
-                            tracer.dropped += 1
-                    pbegin(event, callbacks)
-                    for callback in callbacks:
-                        callback(event)
-                    pend()
 
                     if event._ok is False and not event.defused:
                         raise event._value

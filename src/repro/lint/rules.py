@@ -733,8 +733,8 @@ class BareAssertRule(Rule):
 
 
 #: Packages where *no* host-clock read is acceptable, suppressed or not:
-#: kernel and protocol layers must be wall-clock-free so traced/profiled
-#: runs stay bit-identical to plain ones.
+#: kernel and protocol layers must be wall-clock-free so traced and
+#: observed runs stay bit-identical to plain ones.
 _CLOCK_FREE_DIRS = frozenset(
     {"des", "mac", "net", "phy", "routing", "transport"}
 )
@@ -747,11 +747,13 @@ class KernelWallClockRule(Rule):
     deliberate host-side read there is waved through with an inline
     suppression.  The kernel and the protocol stack get no such waiver:
     ``repro/{des,mac,net,phy,routing,transport}`` must never touch the
-    host clock, because the causal tracer and wall-clock profiler prove
-    digest-neutrality by construction — the kernel calls profiler hooks
-    and only ``repro.obs`` / ``repro.perf`` read ``perf_counter``.  A
-    separate code means an existing ``disable=SIM002`` comment cannot
-    mask a clock read that creeps into these packages.
+    host clock, so that traced and observed runs are digest-neutral by
+    construction.  Host time is read only in ``repro.obs`` (the heartbeat
+    introspector runs as its own simulation process and reads
+    ``perf_counter`` there) and ``repro.perf``; per-layer host time is
+    measured from outside the code by ``perfbench/``.  A separate code
+    means an existing ``disable=SIM002`` comment cannot mask a clock read
+    that creeps into these packages.
     """
 
     code = "SIM014"
@@ -789,7 +791,7 @@ class KernelWallClockRule(Rule):
                 node,
                 f"{called} inside a kernel/protocol package; only "
                 "repro.obs and repro.perf may read the host clock — "
-                "route timing through the profiler/heartbeat hooks",
+                "read it in repro.obs, as the heartbeat introspector does",
             )
 
 

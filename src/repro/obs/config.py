@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from repro.obs.journey import DEFAULT_MAX_JOURNEYS
@@ -33,22 +34,21 @@ class ObservabilityConfig:
     tracing: bool = False
     #: Span cap — raw spans pin their events, so memory grows with it.
     max_spans: int = DEFAULT_MAX_SPANS
-    #: Attribute host wall-clock time per component (WallClockProfiler).
-    profile_wall: bool = False
 
     def __post_init__(self) -> None:
         if self.max_journeys <= 0:
             raise ValueError("max_journeys must be positive")
         if self.max_spans <= 0:
             raise ValueError("max_spans must be positive")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
+        if self.heartbeat_interval is not None and not (
+            0 < self.heartbeat_interval < inf
+        ):
             raise ValueError("heartbeat_interval must be positive")
         if not (
             self.metrics
             or self.journeys
             or self.heartbeat_interval
             or self.tracing
-            or self.profile_wall
         ):
             raise ValueError(
                 "observability config enables nothing; use None on the "

@@ -15,7 +15,6 @@ from repro.obs import api
 from repro.obs.config import ObservabilityConfig
 from repro.obs.introspect import RunIntrospector
 from repro.obs.journey import JourneyTracker
-from repro.obs.profiling import WallClockProfiler
 from repro.obs.registry import MetricRegistry
 from repro.obs.tracing.spans import SpanTracer
 
@@ -42,17 +41,13 @@ class Observability:
                 interval=config.heartbeat_interval,
                 path=config.heartbeat_path,
             )
-        # The tracer and profiler hook the kernel at construction time —
-        # before the scenario schedules anything — so every event of the
-        # trial lands in the trace.
+        # The tracer hooks the kernel at construction time — before the
+        # scenario schedules anything — so every event of the trial lands
+        # in the trace.
         self.spans: Optional[SpanTracer] = None
         if config.tracing:
             self.spans = SpanTracer(max_spans=config.max_spans)
             self.spans.install(env)
-        self.profiler: Optional[WallClockProfiler] = None
-        if config.profile_wall:
-            self.profiler = WallClockProfiler()
-            self.profiler.install(env)
 
     def activate(self) -> None:
         """Install this runtime as the process-wide binding context."""
@@ -90,6 +85,4 @@ class Observability:
             out["heartbeats"] = len(self.introspector.records)
         if self.spans is not None:
             out["spans"] = self.spans.summary()
-        if self.profiler is not None:
-            out["profile"] = self.profiler.summary()
         return out

@@ -9,8 +9,8 @@ Public surface:
 * :mod:`~repro.obs.tracing.query` — uid/layer/node/time filters and
   causal-chain walks.
 
-See ``docs/OBSERVABILITY.md`` ("Causal tracing & wall-clock
-profiling") for the span model and the Perfetto workflow.
+See ``docs/OBSERVABILITY.md`` ("Causal tracing") for the span model
+and the Perfetto workflow.
 """
 
 from repro.obs.tracing.spans import DEFAULT_MAX_SPANS, Mark, Span, SpanTracer

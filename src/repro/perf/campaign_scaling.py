@@ -10,8 +10,8 @@ makes :func:`main` exit non-zero.
 
 Speedup itself is reported, not gated — on a single hardware thread the
 CPU-bound trials cannot overlap, and hosted-runner wall clocks are too
-noisy for absolute gating (the same reasoning as the bench harness; see
-docs/PERFORMANCE.md).  The retry-protocol speedup *assertion* lives in
+noisy for absolute gating (see docs/PERFORMANCE.md).  The
+retry-protocol speedup *assertion* lives in
 ``tests/perf/test_campaign_scaling.py``.
 
 Like the rest of ``repro.perf``, this module is host-side measurement:

@@ -48,6 +48,10 @@ def test_config_validation():
         TrialConfig(queue_limit=0)
     with pytest.raises(ValueError):
         TrialConfig(tcp_window=0)
+    for field in ("duration", "speed_mps", "throughput_interval"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                TrialConfig(**{field: bad})
 
 
 def test_with_overrides_returns_new_config():

@@ -54,8 +54,10 @@ def test_cli_parser_subcommands():
     args = parser.parse_args(["fuzz", "--seed", "3", "--count", "7",
                               "--no-shrink"])
     assert args.seed == 3 and args.count == 7 and args.no_shrink
-    args = parser.parse_args(["bench", "--sanitize"])
-    assert args.sanitize
+    args = parser.parse_args(["trace", "--uid", "7"])
+    assert args.uid == 7
+    args = parser.parse_args(["trace", "--uid", "initial-warning"])
+    assert args.uid == "initial-warning"
     args = parser.parse_args(["campaign", "--sanitize"])
     assert args.sanitize
 

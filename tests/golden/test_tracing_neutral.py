@@ -1,11 +1,10 @@
-"""Differential-digest guard: tracing and profiling must not perturb results.
+"""Differential-digest guard: span tracing must not perturb results.
 
 Same discipline as ``test_observability_neutral.py``, extended to the
-span tracer and the wall-clock profiler.  Both hook the kernel's event
-loop itself (the traced loop widens heap entries to six elements, the
-profiled loop brackets every callback batch with host-clock reads), so
-this is the strongest version of the neutrality claim: the *kernel* runs
-a different code path and the packet trace must still be bit-identical.
+span tracer.  It hooks the kernel's event loop itself (the traced loop
+widens heap entries to six elements), so this is the strongest version
+of the neutrality claim: the *kernel* runs a different code path and the
+packet trace must still be bit-identical.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ def run_fresh(config):
 DURATION = 12.0
 
 TRACING = ObservabilityConfig(metrics=False, journeys=False, tracing=True)
-TRACING_PROFILED = ObservabilityConfig(
-    metrics=False, journeys=False, tracing=True, profile_wall=True
-)
 
 #: Trial 1 (TDMA) and Trial 3 (802.11 contention) cover both kernels'
 #: scheduling styles; trial 2 adds nothing the digest would notice.
@@ -51,17 +47,6 @@ def test_trace_digest_identical_with_tracing(name):
     )
     tracer = traced.observability.spans
     assert tracer is not None and len(tracer) > 0  # it genuinely recorded
-
-
-def test_trace_digest_identical_with_tracing_and_profiling():
-    base = TRIAL_1.with_overrides(duration=DURATION, enable_trace=True)
-    plain = run_fresh(base)
-    observed = run_fresh(base.with_overrides(observability=TRACING_PROFILED))
-    assert trace_digest(observed) == trace_digest(plain), (
-        "the profiled+traced kernel loop has a simulation side effect"
-    )
-    obs = observed.observability
-    assert obs.profiler is not None and obs.profiler.events > 0
 
 
 def test_summary_identical_with_tracing():

@@ -381,8 +381,8 @@ class TestSim014:
 
     def test_obs_and_perf_packages_are_exempt(self):
         src = "import time\nt = time.perf_counter()  # simlint: disable=SIM002\n"
-        assert codes(src, "src/repro/obs/profiling.py") == []
-        assert codes(src, "src/repro/perf/bench.py") == []
+        assert codes(src, "src/repro/obs/introspect.py") == []
+        assert codes(src, "src/repro/perf/campaign_scaling.py") == []
 
     def test_outside_repro_and_in_tests_exempt(self):
         src = "import time\nt = time.time()  # simlint: disable=SIM002\n"

@@ -81,7 +81,7 @@ class TestObservabilityConfig:
         with pytest.raises(ValueError, match="max_journeys"):
             ObservabilityConfig(max_journeys=bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_heartbeat_interval_rejected(self, bad):
         with pytest.raises(ValueError, match="heartbeat_interval"):
             ObservabilityConfig(heartbeat_interval=bad)

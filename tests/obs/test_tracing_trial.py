@@ -154,6 +154,13 @@ class TestTraceCli:
         assert "spans match:" in out
         assert "n0/mac" in out
 
+    def test_non_integer_uid_is_a_usage_error(self, capsys):
+        # Rejected while parsing, before any simulation runs.
+        with pytest.raises(SystemExit) as exited:
+            main(["trace", "--uid", "foo"])
+        assert exited.value.code == 2
+        assert "got 'foo'" in capsys.readouterr().err
+
     def test_no_delivered_warning_exits_nonzero(self, capsys):
         # 2 s is before Trial 1's braking episode: nothing delivered yet.
         code = main(
