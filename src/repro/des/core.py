@@ -121,6 +121,31 @@ class Environment:
             return
         self._reject_delay(event, delay)
 
+    def schedule_at(
+        self, event: Event, at: float, priority: int = NORMAL
+    ) -> None:
+        """Enqueue ``event`` to fire at the absolute simulated time ``at``.
+
+        The heap key is ``at`` itself.  ``schedule(event, delay=at - now)``
+        would store ``now + (at - now)``, which can round to a neighbouring
+        float and miss a time computed elsewhere, such as a backoff slot
+        boundary reached by repeated addition.  ``at`` must be finite and
+        not before :attr:`now`: NaN, infinities and past times raise
+        :class:`SchedulingError`.  Same-time ties keep insertion order,
+        exactly as with :meth:`schedule`.
+        """
+        if self._now <= at < _INF:
+            if self._span_tracer is None:
+                heappush(self._queue, (at, priority, next(self._eid), event))
+            else:
+                heappush(
+                    self._queue,
+                    (at, priority, next(self._eid), event,
+                     self._now, self.events_processed),
+                )
+            return
+        self._reject_delay(event, at - self._now)
+
     def _reject_delay(self, event: Event, delay: float) -> None:
         """Raise the appropriate :class:`SchedulingError` for ``delay``."""
         delay = float(delay)
@@ -162,7 +187,8 @@ class Environment:
 
         Installation swaps :meth:`schedule` for an instance-level closure
         that pushes six-element heap entries ``(time, priority, eid,
-        event, scheduled_at, scheduled_seq)``: the extra two elements
+        event, scheduled_at, scheduled_seq)`` (:meth:`schedule_at` checks
+        for the tracer and pushes the same shape): the extra two elements
         never participate in heap comparisons (the unique ``eid`` decides
         every tie first) and give each executed event its schedule time
         and — via ``scheduled_seq``, the ``events_processed`` count at

@@ -126,8 +126,8 @@ class Timeout(Event):
         __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        # Timeouts are the single most-allocated event type (every slot
-        # countdown, ACK wait, and delivery creates one), so the base
+        # Timeouts are the single most-allocated event type (every AIFS
+        # deferral, ACK wait, and delivery creates one), so the base
         # __init__ is inlined: attribute-for-attribute identical to
         # Event.__init__ followed by the triggered-state assignment.
         self.env = env

@@ -27,7 +27,8 @@ Rules
 ========  =============================================================
 SIM001    module-level ``random.*`` call (use an injected ``Random``)
 SIM002    wall-clock access inside simulation code
-SIM003    constant negative/non-finite delay to ``timeout()``/``schedule()``
+SIM003    constant negative/non-finite delay or time to ``timeout()``/
+          ``schedule()``/``schedule_at()``
 SIM004    mutable default argument
 SIM005    iteration over a ``set`` / ``.keys()`` view in a hot path
 SIM006    direct mutation of ``Environment._queue`` (bypasses schedule())

@@ -291,15 +291,19 @@ def _constant_float(node: ast.expr) -> Optional[float]:
 
 
 class ConstantBadDelayRule(Rule):
-    """SIM003: a delay that can never be valid, written in the source.
+    """SIM003: a delay or event time that can never be valid, in the source.
 
     ``heapq`` silently tolerates NaN keys and corrupts its ordering; a
-    negative delay schedules into the simulated past.  Both are always
-    bugs when they appear as literals.
+    negative delay schedules into the simulated past, and so does a
+    negative absolute time, since simulated time starts at zero.  All
+    are bugs when they appear as literals.
     """
 
     code = "SIM003"
-    summary = "constant negative/NaN/inf delay passed to timeout()/schedule()"
+    summary = (
+        "constant negative/NaN/inf delay or time passed to "
+        "timeout()/schedule()/schedule_at()"
+    )
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         if ctx.in_tests:
@@ -310,10 +314,14 @@ class ConstantBadDelayRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = self._call_name(node.func)
+            what = "delay"
             if name == "timeout":
                 delay = self._argument(node, position=0, keyword="delay")
             elif name == "schedule":
                 delay = self._argument(node, position=2, keyword="delay")
+            elif name == "schedule_at":
+                delay = self._argument(node, position=1, keyword="at")
+                what = "time"
             else:
                 continue
             if delay is None:
@@ -325,9 +333,9 @@ class ConstantBadDelayRule(Rule):
                 yield self._diag(
                     ctx,
                     delay,
-                    f"{name}() called with constant delay {value!r}; delays "
-                    "must be finite and >= 0 (the kernel now rejects these "
-                    "at runtime too)",
+                    f"{name}() called with constant {what} {value!r}; "
+                    f"{what}s must be finite and >= 0 (the kernel now "
+                    "rejects these at runtime too)",
                 )
 
     @staticmethod

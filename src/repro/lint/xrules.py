@@ -185,8 +185,8 @@ class UnorderedOrderToSchedulerRule(ProjectRule):
     summary = "set/dict-order iteration reaches scheduling/heap/trace emission"
 
     _SINKS = frozenset(
-        {"schedule", "timeout", "record", "heappush", "heapify",
-         "heapreplace", "heappushpop", "trace", "emit"}
+        {"schedule", "schedule_at", "timeout", "record", "heappush",
+         "heapify", "heapreplace", "heappushpop", "trace", "emit"}
     )
 
     def check_module(

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.des.events import Event, Timeout
+from repro.des.events import Event
 from repro.net.addresses import Address, BROADCAST
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -89,6 +89,14 @@ def _control_frame(
     return pkt
 
 
+def _slots_left_event(env: "Environment", slots: int) -> Event:
+    """A triggered event whose value is the backoff slots still to count."""
+    event = Event(env)
+    event._ok = True
+    event._value = slots
+    return event
+
+
 class Dcf80211Mac(Mac):
     """CSMA/CA MAC with binary exponential backoff and DATA/ACK."""
 
@@ -122,6 +130,8 @@ class Dcf80211Mac(Mac):
         #: Event the sender waits on for the ACK/CTS it expects.
         self._expecting: Optional[tuple[str, Address]] = None
         self._response_event: Optional[Event] = None
+        #: The running backoff countdown: (start, slots, timer, process).
+        self._countdown: Optional[tuple] = None
         #: (src, uid) of recently delivered unicast frames, for dedup.
         self._seen: dict[Address, int] = {}
         self._obs_sent = obs.counter("mac.dcf.data_sent")
@@ -167,30 +177,60 @@ class Dcf80211Mac(Mac):
                 return
 
     def _backoff(self, slots: int):
-        """Count down ``slots`` idle slots, freezing while the medium is busy."""
-        # The slot countdown is the densest event producer under
-        # contention: one timeout per slot per station.  Bind the phy,
-        # environment, and slot length once per call, construct the
-        # Timeout directly, and inline _medium_free (transmitting, signal
-        # list, NAV, and EIFS checks) to shave per-slot call overhead.
-        slot_time = self.params.slot_time
-        phy = self.phy
+        """Count down ``slots`` idle slots, freezing while the medium is busy.
+
+        The countdown freezes on the first slot boundary after the medium
+        is disturbed, counting the slots before that boundary, and resumes
+        after the next AIFS of idle medium.  One kernel timer serves each
+        countdown, bit-identical to scheduling one event per slot:
+
+        * The timer is set for the last boundary, reached by repeated
+          ``+= slot_time`` from the start as per-slot events would reach
+          it, and scheduled at that absolute time: ``now + (end - now)``
+          can round to a neighbouring float.
+        * The first ``busy_epoch`` bump after the start calls
+          :meth:`_freeze_countdown` through the phy's ``on_disturb`` hook,
+          which moves the wake-up to the first boundary *strictly* after
+          the bump.  A bump exactly on a boundary counts that slot: a
+          per-slot event for the boundary is created a slot earlier,
+          before the disturbing frame is sent, since propagation takes
+          less than a slot.  Later bumps change nothing.
+        * The timer is created when the countdown starts, where the first
+          per-slot event would be, so stations counting in lockstep finish
+          in that order.  A frozen station only registers ``wait_idle`` at
+          its wake-up, and the disturbing frame outlasts a slot, so where
+          the wake-up sits among same-time events is unobservable.
+        """
         env = self.env
+        slot_time = self.params.slot_time
         while slots > 0:
             yield from self._wait_free_for(self._aifs)
-            while slots > 0:
-                epoch = phy.busy_epoch
-                yield Timeout(env, slot_time)
-                now = env.now
-                if (
-                    phy.busy_epoch != epoch
-                    or now < phy._tx_end_time
-                    or phy._signals
-                    or now < self._nav_until
-                    or now < self._eifs_until
-                ):
-                    break  # freeze: re-defer for AIFS
-                slots -= 1
+            start = end = env.now
+            for _ in range(slots):
+                end += slot_time
+            timer = _slots_left_event(env, 0)
+            env.schedule_at(timer, end)
+            self._countdown = (start, slots, timer, env.active_process)
+            self.phy.on_disturb = self._freeze_countdown
+            slots = yield timer
+            self.phy.on_disturb = None
+
+    def _freeze_countdown(self) -> None:
+        """Move the running countdown's wake-up to the freeze boundary."""
+        self.phy.on_disturb = None
+        start, slots, timer, process = self._countdown
+        slot_time = self.params.slot_time
+        now = self.env.now
+        boundary = start + slot_time
+        while boundary <= now:  # slots ending at or before the bump count
+            boundary += slot_time
+            slots -= 1
+        wake = _slots_left_event(self.env, slots)
+        # The cancelled timer stays in the heap as a no-op; the process
+        # now waits on the event that holds its resume callback.
+        wake.callbacks, timer.callbacks = timer.callbacks, []
+        process._target = wake
+        self.env.schedule_at(wake, boundary)
 
     # -- transmit path ------------------------------------------------------------
 

@@ -3,16 +3,18 @@
 Runs the same multi-seed campaign twice — sequentially (``jobs=1``) and
 on the worker pool (``jobs=N``) — and reports the wall-clock speedup
 together with a field-by-field comparison of the per-trial records.
-The comparison is the point: the pool's contract is that scheduling
-never feeds back into results, so every (status, metrics, violations)
-triple must be **bit-identical** across the two runs; any mismatch
-makes :func:`main` exit non-zero.
+The pool's contract is that scheduling never feeds back into results,
+so every (status, metrics, violations) triple must be **bit-identical**
+across the two runs; any mismatch makes :func:`main` exit non-zero at
+once.
 
-Speedup itself is reported, not gated — on a single hardware thread the
-CPU-bound trials cannot overlap, and hosted-runner wall clocks are too
-noisy for absolute gating (see docs/PERFORMANCE.md).  The
-retry-protocol speedup *assertion* lives in
-``tests/perf/test_campaign_scaling.py``.
+On a host with at least two hardware threads :func:`main` also gates
+the speedup: it must beat :data:`SPEEDUP_BOUND`, with up to
+:data:`SPEEDUP_ATTEMPTS` measurements, passing on the first attempt
+over the bound.  A single attempt on a shared host has a noise tail; a
+pool that stopped overlapping trials misses the bound on every attempt.
+On one hardware thread CPU-bound trials cannot overlap, so the speedup
+is only reported.
 
 Like the rest of ``repro.perf``, this module is host-side measurement:
 the wall-clock reads are intentional and marked for simlint.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from typing import Optional, Sequence
 
@@ -38,6 +41,12 @@ from repro.experiments.campaign import (
 )
 
 SCHEMA = "repro.campaign-scaling/1"
+
+#: Wall-clock speedup of ``jobs=N`` over ``jobs=1`` that :func:`main`
+#: requires on a host with at least two hardware threads.
+SPEEDUP_BOUND = 1.2
+#: Measurements :func:`main` makes before the speedup gate fails.
+SPEEDUP_ATTEMPTS = 5
 
 _TRIALS = {1: TRIAL_1, 2: TRIAL_2, 3: TRIAL_3}
 
@@ -115,6 +124,14 @@ def measure_campaign_scaling(
     }
 
 
+def hardware_threads() -> int:
+    """Hardware threads this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def format_report(report: dict) -> str:
     lines = [
         f"campaign scaling: {report['seeds']} seeds of {report['trial']} "
@@ -149,17 +166,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write the JSON report here")
     args = parser.parse_args(argv)
     base = _TRIALS[args.trial].with_overrides(duration=args.duration)
-    report = measure_campaign_scaling(
-        base, seeds=args.seeds, jobs=args.jobs, timeout=args.timeout
-    )
-    print(format_report(report))
+    gated = hardware_threads() >= 2
+    speedups = []
+    for _attempt in range(SPEEDUP_ATTEMPTS):
+        report = measure_campaign_scaling(
+            base, seeds=args.seeds, jobs=args.jobs, timeout=args.timeout
+        )
+        print(format_report(report))
+        speedups.append(report["speedup"])
+        retry = gated and report["speedup"] <= SPEEDUP_BOUND
+        if not (report["identical"] and retry):
+            break
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
             json.dump(report, stream, indent=2)
             stream.write("\n")
         print(f"scaling report written to {args.output}")
     # Differing records mean the pool broke determinism — that gates.
-    return 0 if report["identical"] else 1
+    if not report["identical"]:
+        return 1
+    if not gated:
+        print("speedup not gated: fewer than 2 hardware threads")
+    elif report["speedup"] <= SPEEDUP_BOUND:
+        print(
+            f"no wall-clock speedup above {SPEEDUP_BOUND}x at "
+            f"jobs={args.jobs} in {SPEEDUP_ATTEMPTS} attempts: "
+            + ", ".join(f"{s:.2f}x" for s in speedups)
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI smoke

@@ -147,6 +147,10 @@ class WirelessPhy:
         #: arrives or we start transmitting).  MACs compare epochs across a
         #: timed wait to detect that the medium was disturbed meanwhile.
         self.busy_epoch = 0
+        #: Called with no arguments right after each ``busy_epoch`` bump
+        #: while set.  The DCF backoff sets it for one countdown, so a
+        #: countdown needs no event per idle slot to notice a disturbance.
+        self.on_disturb: Optional[Callable[[], None]] = None
         #: False while the node is crashed: the radio neither emits nor
         #: decodes, but stays attached so it can come back.
         self.up = True
@@ -271,6 +275,8 @@ class WirelessPhy:
             self._current = None
         self._tx_end_time = self.env.now + duration
         self.busy_epoch += 1
+        if self.on_disturb is not None:
+            self.on_disturb()
         self.frames_sent += 1
         self._obs_sent.inc()
         if self.energy is not None:
@@ -308,6 +314,8 @@ class WirelessPhy:
         )
         self._signals.append(signal)
         self.busy_epoch += 1
+        if self.on_disturb is not None:
+            self.on_disturb()
         if self.params.sinr_mode:
             self._classify_sinr(signal)
         else:

@@ -21,24 +21,31 @@ from repro.des.events import NORMAL, URGENT
 
 @given(
     st.lists(
-        st.sampled_from([URGENT, NORMAL]), min_size=1, max_size=40
+        st.tuples(st.sampled_from([URGENT, NORMAL]), st.booleans()),
+        min_size=1,
+        max_size=40,
     )
 )
 @settings(max_examples=100, deadline=None)
-def test_same_time_events_fire_in_priority_then_insertion_order(priorities):
-    """Ties at one timestamp resolve by (priority, insertion sequence)."""
+def test_same_time_events_fire_in_priority_then_insertion_order(plan):
+    """Ties at one timestamp resolve by (priority, insertion sequence),
+    whether an event was scheduled by delay or by absolute time."""
     env = Environment()
     fired = []
+    priorities = [priority for priority, _ in plan]
 
     def record(index):
         return lambda event: fired.append(index)
 
-    for index, priority in enumerate(priorities):
+    for index, (priority, absolute) in enumerate(plan):
         event = env.event()
         event._ok = True
         event._value = None
         event.callbacks.append(record(index))
-        env.schedule(event, priority=priority, delay=1.0)
+        if absolute:
+            env.schedule_at(event, 1.0, priority=priority)
+        else:
+            env.schedule(event, priority=priority, delay=1.0)
     env.run()
 
     expected = sorted(
@@ -103,6 +110,8 @@ def test_invalid_delays_always_raise_scheduling_error(delay):
         env.timeout(delay)
     with pytest.raises(SchedulingError):
         env.schedule(env.event(), delay=delay)
+    with pytest.raises(SchedulingError):
+        env.schedule_at(env.event(), env.now + delay)
     # Nothing leaked onto the heap from the failed attempts.
     assert env.peek() == math.inf
 

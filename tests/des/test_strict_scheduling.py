@@ -18,6 +18,9 @@ def test_schedule_rejects_invalid_delay(delay):
     env = Environment()
     with pytest.raises(SchedulingError):
         env.schedule(env.event(), delay=delay)
+    # The absolute-time entry point rejects the same instants.
+    with pytest.raises(SchedulingError):
+        env.schedule_at(env.event(), env.now + delay)
     assert env.peek() == math.inf  # nothing was enqueued
 
 
@@ -40,13 +43,18 @@ def test_scheduling_error_is_value_error_and_simulation_error():
 def test_scheduling_error_carries_context():
     env = Environment(initial_time=5.0)
     event = env.event()
-    with pytest.raises(SchedulingError) as excinfo:
-        env.schedule(event, delay=-2.0)
-    err = excinfo.value
-    assert err.delay == -2.0
-    assert err.now == 5.0
-    assert err.event is event
-    assert "-2.0" in str(err) and "5.0" in str(err)
+    # A delay of -2 s and the absolute time 3.0 name the same past instant.
+    for schedule in (
+        lambda: env.schedule(event, delay=-2.0),
+        lambda: env.schedule_at(event, 3.0),
+    ):
+        with pytest.raises(SchedulingError) as excinfo:
+            schedule()
+        err = excinfo.value
+        assert err.delay == -2.0
+        assert err.now == 5.0
+        assert err.event is event
+        assert "-2.0" in str(err) and "5.0" in str(err)
 
 
 def test_nan_delay_no_longer_corrupts_heap_order():
@@ -71,6 +79,12 @@ def test_zero_delay_still_valid():
     timeout = env.timeout(0.0)
     env.run()
     assert timeout.processed
+    # An absolute time equal to now is valid too.
+    event = env.event()
+    event._ok, event._value = True, None
+    env.schedule_at(event, env.now)
+    env.run()
+    assert event.processed
 
 
 # -- strict mode ---------------------------------------------------------------
@@ -86,6 +100,8 @@ def test_strict_env_rejects_bad_delays_too(delay):
     env = Environment(strict=True)
     with pytest.raises(SchedulingError):
         env.schedule(env.event(), delay=delay)
+    with pytest.raises(SchedulingError):
+        env.schedule_at(env.event(), env.now + delay)
 
 
 def test_strict_step_detects_event_in_the_past():

@@ -17,3 +17,8 @@ def launder(env, nodes):
 
 def emit_all(tracer, members):
     [tracer.record("s", 0.0, m) for m in members.keys()]  # line 19
+
+
+def wake_all(env, timers):
+    for timer in set(timers):  # line 23: set order decides same-time ties
+        env.schedule_at(timer, 1.0)

@@ -48,6 +48,16 @@ def test_fixture_tree_violates_every_file_rule(tmp_path):
         assert diag.line >= 1 and diag.col >= 1
 
 
+def test_sim003_fixture_flags_every_scheduling_entry_point(tmp_path):
+    findings = lint_paths([str(copied_tree(tmp_path))])
+    lines = sorted(
+        d.line
+        for d in findings
+        if d.code == "SIM003" and d.path.endswith("bad_delays.py")
+    )
+    assert lines == [5, 6, 7]  # timeout(), schedule(), schedule_at()
+
+
 def test_run_lint_nonzero_with_file_line_output(tmp_path):
     stream = io.StringIO()
     status = run_lint(

@@ -58,6 +58,7 @@ def test_sim010_unordered_iteration_golden(xtree):
         ("SIM010", 6),   # set order straight into env.schedule
         ("SIM010", 14),  # laundered through a list filled from a set loop
         ("SIM010", 19),  # comprehension over dict.keys() calling record()
+        ("SIM010", 23),  # set order into env.schedule_at
     ]
 
 

@@ -5,12 +5,13 @@ import pytest
 from repro.des import Environment
 from repro.mac.base import PLCP_OVERHEAD
 from repro.mac.dcf import Dcf80211Mac, DcfParams
+from repro.mac.edca import EdcaMac
 from repro.net.addresses import BROADCAST
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import DropTailQueue
-from repro.phy.radio import WirelessPhy
+from repro.phy.radio import RadioParams, WirelessPhy
 
 
 def build_mac(env, channel, address, x, params=None):
@@ -254,3 +255,196 @@ def test_eifs_defers_transmission(env):
     assert len(got) == 1
     # The frame cannot have finished before the EIFS deferral expired.
     assert deferral > 0
+
+
+# -- backoff freeze boundaries ---------------------------------------------
+#
+# Station A counts down a fixed backoff draw while colocated radios, which
+# A senses but cannot decode (no NAV, no EIFS), disturb the medium at
+# scripted instants.  Each test derives A's departure from the per-slot
+# rule with the same float operations the kernel performs, and requires
+# the simulated departure to equal it exactly.
+
+
+class FixedDraw:
+    """Stub rng: every backoff draw is ``slots``."""
+
+    def __init__(self, slots):
+        self.slots = slots
+
+    def randint(self, low, high):
+        return self.slots
+
+
+def countdown_station(env, channel, slots, mac_cls=Dcf80211Mac):
+    """A at the origin; returns the MAC and the list its departures fill."""
+    phy = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
+    channel.attach(phy)
+    mac = mac_cls(env, 0, phy, DropTailQueue(env), rng=FixedDraw(slots))
+    mac.start()
+    departures = []
+    transmit = phy.transmit
+
+    def record(pkt, duration):
+        departures.append(env.now)
+        transmit(pkt, duration)
+
+    phy.transmit = record
+    return mac, departures
+
+
+def at(env, when, action):
+    """Run ``action`` at exactly ``when`` (a timeout created at t = 0)."""
+
+    def script():
+        yield env.timeout(when)
+        action()
+
+    env.process(script())
+
+
+def jam(env, channel, when, duration):
+    """Send one frame at ``when`` from a new colocated radio, which A
+    senses but cannot decode."""
+    params = RadioParams(tx_power=1e-10)
+    assert params.cs_threshold <= params.tx_power < params.rx_threshold
+    phy = WirelessPhy(env, position_fn=lambda: (0.0, 0.0), params=params)
+    channel.attach(phy)
+    at(env, when, lambda: phy.transmit(data_packet(9, 9), duration))
+
+
+def slot_boundaries(start, count, slot_time):
+    """Boundaries of a countdown, by repeated addition as the kernel adds."""
+    boundaries = []
+    boundary = start
+    for _ in range(count):
+        boundary += slot_time
+        boundaries.append(boundary)
+    return boundaries
+
+
+def per_slot_departure(start, slots, aifs, slot_time, busy=()):
+    """When the per-slot rule sends A's frame.
+
+    The countdown of ``slots`` starts at ``start``.  ``busy`` lists each
+    ``(went_busy, went_idle)`` period of A's medium in order; none falls
+    inside an AIFS wait.  A countdown freezes at the first slot boundary
+    strictly after the medium went busy, and the slots before that
+    boundary count.  It resumes AIFS after the medium went idle.
+    """
+    for went_busy, went_idle in busy:
+        boundary = start
+        while slots and boundary + slot_time <= went_busy:
+            boundary += slot_time
+            slots -= 1
+        if not slots:
+            raise ValueError("the countdown ends before the disturbance")
+        start = went_idle + aifs
+    boundary = start
+    for _ in range(slots):
+        boundary += slot_time
+    return boundary + aifs
+
+
+FRAME = 300e-6  # disturbing frame airtime; any frame lasts > one slot
+
+
+@pytest.mark.parametrize(
+    "slots, boundary, offset",
+    [
+        (6, 2, 7e-6),  # mid-slot: freezes on boundary 3, two slots count
+        (6, 5, 19e-6),  # in the last slot: one slot remains
+        (6, 3, 0.0),  # exactly on boundary 3: that slot counts too
+    ],
+    ids=["mid-slot", "last-slot", "on-boundary"],
+)
+def test_backoff_freezes_at_first_boundary_after_disturbance(
+    env, slots, boundary, offset
+):
+    channel = WirelessChannel(env)
+    mac, departures = countdown_station(env, channel, slots)
+    params = mac.params
+    start = params.difs
+    disturbed = slot_boundaries(start, slots, params.slot_time)[boundary - 1]
+    if offset:
+        disturbed += offset
+    jam(env, channel, disturbed, FRAME)
+    mac.ifq.put(data_packet(0, BROADCAST, mac_dst=BROADCAST))
+    env.run(until=0.01)
+    expected = per_slot_departure(
+        start, slots, params.difs, params.slot_time,
+        busy=[(disturbed, disturbed + FRAME)],
+    )
+    assert departures == [expected]
+
+
+def test_disturbance_at_the_countdowns_first_instant_counts_no_slot(env):
+    channel = WirelessChannel(env)
+    mac, departures = countdown_station(env, channel, 4)
+    params = mac.params
+    start = params.difs
+    jam(env, channel, start, FRAME)
+    mac.ifq.put(data_packet(0, BROADCAST, mac_dst=BROADCAST))
+    env.run(until=0.01)
+    expected = per_slot_departure(
+        start, 4, params.difs, params.slot_time,
+        busy=[(start, start + FRAME)],
+    )
+    assert departures == [expected]
+
+
+def test_second_disturbance_before_the_freeze_boundary_changes_nothing(env):
+    """Only the first disturbance picks the freeze boundary; the countdown
+    resumes once both frames have left the air."""
+    channel = WirelessChannel(env)
+    mac, departures = countdown_station(env, channel, 5)
+    params = mac.params
+    start = params.difs
+    second = slot_boundaries(start, 5, params.slot_time)[1]
+    first, second = second + 5e-6, second + 15e-6
+    jam(env, channel, first, FRAME)
+    jam(env, channel, second, FRAME)
+    mac.ifq.put(data_packet(0, BROADCAST, mac_dst=BROADCAST))
+    env.run(until=0.01)
+    expected = per_slot_departure(
+        start, 5, params.difs, params.slot_time,
+        busy=[(first, second + FRAME)],
+    )
+    assert departures == [expected]
+
+
+def test_edca_countdown_defers_its_own_aifs(env):
+    channel = WirelessChannel(env)
+    mac, departures = countdown_station(env, channel, 7, mac_cls=EdcaMac)
+    params = mac.params
+    aifs = params.aifs(params.data_aifsn)  # a CBR frame is background data
+    assert aifs != params.difs
+    disturbed = slot_boundaries(aifs, 7, params.slot_time)[2] + 11e-6
+    jam(env, channel, disturbed, FRAME)
+    mac.ifq.put(data_packet(0, BROADCAST, mac_dst=BROADCAST))
+    env.run(until=0.01)
+    expected = per_slot_departure(
+        aifs, 7, aifs, params.slot_time,
+        busy=[(disturbed, disturbed + FRAME)],
+    )
+    assert departures == [expected]
+
+
+def test_countdown_starting_before_one_millisecond_ends_on_its_boundary(env):
+    """The countdown ends on the last boundary of the repeated sum, which
+    here is not ``start + (last - start)``: a timer set by relative delay
+    would fire one ulp early."""
+    channel = WirelessChannel(env)
+    mac, departures = countdown_station(env, channel, 7)
+    params = mac.params
+    queued = 3e-6
+    start = queued + params.difs
+    last = slot_boundaries(start, 7, params.slot_time)[-1]
+    assert start < 1e-3 and start + (last - start) != last
+    at(env, queued, lambda: mac.ifq.put(
+        data_packet(0, BROADCAST, mac_dst=BROADCAST)
+    ))
+    env.run(until=0.01)
+    assert departures == [per_slot_departure(
+        start, 7, params.difs, params.slot_time
+    )]

@@ -83,13 +83,23 @@ class TestSpanRecording:
         def proc(env):
             yield env.timeout(1.5)
             yield env.timeout(2.5)
+            wake = env.event()
+            wake._ok, wake._value = True, None
+            env.schedule_at(wake, 4.75)
+            yield wake
 
         env.process(proc(env))
         env.run()
-        second = [s for s in tracer.finalize() if s.etype == "Timeout"][1]
+        spans = tracer.finalize()
+        second = [s for s in spans if s.etype == "Timeout"][1]
         assert second.scheduled_at == pytest.approx(1.5)
         assert second.fired_at == pytest.approx(4.0)
         assert second.wait == pytest.approx(2.5)
+        # schedule_at pushes the traced entry shape as well.
+        absolute = [s for s in spans if s.fired_at == 4.75 and s.etype == "Event"]
+        assert len(absolute) == 1
+        assert absolute[0].scheduled_at == pytest.approx(4.0)
+        assert absolute[0].parent == second.sid
 
     def test_cap_keeps_earliest_spans_and_counts_the_rest(self):
         env, tracer = traced_env(max_spans=2)

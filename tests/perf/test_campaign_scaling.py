@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 
 import pytest
 
 from repro.core.trials import TrialConfig
 from repro.experiments.campaign import CampaignTrial, run_campaign
+from repro.perf import campaign_scaling
 from repro.perf.campaign_scaling import (
+    SPEEDUP_ATTEMPTS,
+    SPEEDUP_BOUND,
     compare_outcomes,
     format_report,
     measure_campaign_scaling,
@@ -20,13 +22,6 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="stub workers are closures; only fork ships them to the child",
 )
-
-
-def _hardware_threads() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def tiny_config(name: str) -> TrialConfig:
@@ -47,9 +42,9 @@ def test_pool_overlaps_an_8_trial_campaign_near_linearly(monkeypatch):
     The stub workers block in ``sleep`` instead of burning CPU, so the
     measured overlap is a property of the *scheduler* and holds on any
     host — including single-hardware-thread CI containers where
-    CPU-bound trials cannot physically speed up (real-trial multicore
-    scaling is asserted separately below and reported by
-    ``make campaign-bench``).  Retry protocol as in the tracing-overhead
+    CPU-bound trials cannot physically speed up.  Real-trial multicore
+    scaling depends on host load, so ``make campaign-bench`` gates it in
+    CI, not tier-1.  Retry protocol as in the tracing-overhead
     gate: up to five attempts, pass on the first under the bar; genuine
     scheduler serialization fails every attempt.
     """
@@ -90,27 +85,40 @@ def test_pool_overlaps_an_8_trial_campaign_near_linearly(monkeypatch):
     )
 
 
-@pytest.mark.skipif(
-    _hardware_threads() < 2,
-    reason="CPU-bound trials cannot overlap on one hardware thread",
+@pytest.mark.parametrize(
+    "threads, speedups, identical, status",
+    [
+        (4, [1.0, 1.1, 1.3], True, 0),  # passes on the first attempt over it
+        (4, [1.0] * SPEEDUP_ATTEMPTS, True, 1),  # never over the bound
+        (1, [0.9], True, 0),  # one hardware thread: reported, not gated
+        (4, [1.3], False, 1),  # differing records fail without a retry
+    ],
+    ids=["retries-then-passes", "fails-after-all-attempts", "single-thread",
+         "records-differ"],
 )
-def test_real_trials_speed_up_on_multicore():
-    """On real hardware parallelism, real trials get measurably faster."""
-    base = tiny_config("scale")
-    jobs = min(4, _hardware_threads())
-    speedups = []
-    for _attempt in range(5):
-        report = measure_campaign_scaling(
-            base, seeds=8, jobs=jobs, timeout=120.0
-        )
-        assert report["identical"], report["mismatches"]
-        speedups.append(report["speedup"])
-        if report["speedup"] > 1.2:
-            return
-    assert False, (
-        f"no wall-clock speedup at jobs={jobs}: "
-        + ", ".join(f"{s:.2f}x" for s in speedups)
-    )
+def test_campaign_bench_gates_speedup_with_retry(
+    monkeypatch, threads, speedups, identical, status
+):
+    """``make campaign-bench`` gates the >1.2x multicore speedup with the
+    5-attempt retry; measurements are faked so the gate itself is tested
+    without depending on host load."""
+    measured = iter(speedups)
+    calls = []
+
+    def fake_measure(base, seeds, jobs, timeout):
+        calls.append(jobs)
+        return {
+            "trial": base.name, "duration": base.duration, "seeds": seeds,
+            "jobs": jobs, "wall_sequential_s": 1.0, "wall_parallel_s": 1.0,
+            "speedup": next(measured), "identical": identical,
+            "mismatches": [] if identical else ["trial3-seed1"],
+        }
+
+    monkeypatch.setattr(campaign_scaling, "measure_campaign_scaling", fake_measure)
+    monkeypatch.setattr(campaign_scaling, "hardware_threads", lambda: threads)
+    assert SPEEDUP_BOUND == 1.2
+    assert campaign_scaling.main(["--jobs", "4"]) == status
+    assert calls == [4] * len(speedups)
 
 
 def test_measure_campaign_scaling_report_shape():
