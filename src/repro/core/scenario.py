@@ -35,6 +35,7 @@ from repro.mobility.kinematics import braking_distance
 from repro.mobility.platoon import Platoon, PlatoonSpec
 from repro.net.channel import WirelessChannel
 from repro.net.node import Node
+from repro.net.packet import reset_uid_counter
 from repro.net.queues import DropTailQueue, PriQueue, REDQueue
 from repro.obs.runtime import Observability
 from repro.phy.energy import EnergyModel
@@ -70,6 +71,9 @@ class EblScenario:
         geometry: Optional[ScenarioGeometry] = None,
         fault_schedule: Optional[FaultSchedule] = None,
     ) -> None:
+        # Uids start from zero in every scenario, so a trial's trace
+        # digest (which covers them) is the same whatever ran before it.
+        reset_uid_counter()
         self.config = config
         self.geometry = geometry or ScenarioGeometry()
         # The sanitizer's kernel checks turn on the event loop's strict

@@ -273,10 +273,10 @@ class DeferredCall(Event):
     """Run ``fn`` after ``delay`` seconds, mimicking a one-yield process.
 
     The fast path uses this in place of ``env.process(one_yield_gen())``
-    for fire-and-forget work (channel delivery, transmit-done
-    notification).  A generator process costs three heap events —
-    :class:`Initialize`, the :class:`Timeout` it yields, and the process's
-    own completion event; this costs two and no generator frame.
+    for fire-and-forget work (the phy's transmit-done notification).  A
+    generator process costs three heap events — :class:`Initialize`, the
+    :class:`Timeout` it yields, and the process's own completion event;
+    this costs two and no generator frame.
 
     Equivalence with the process version is exact, not approximate: the
     first stage is scheduled ``URGENT`` at the current time from the same
@@ -326,12 +326,12 @@ class DeferredBatch(Event):
 
     Batched equivalent of creating one :class:`DeferredCall` per
     ``(delay, callback)`` item *consecutively at a single call site with
-    no event scheduled in between* (the channel's per-receiver delivery
-    fan-out).  N consecutive stage-1 events would hold consecutive
-    insertion ids at the same (time, URGENT) key, so they pop
-    back-to-back with nothing able to run between them, each creating
-    its delay event in turn.  Creating all delay events inside one
-    shared stage callback — in list order — therefore produces the
+    no event scheduled in between* (the channel's fan-out of one shared
+    frame to every receiver in range).  N consecutive stage-1 events
+    would hold consecutive insertion ids at the same (time, URGENT) key,
+    so they pop back-to-back with nothing able to run between them, each
+    creating its delay event in turn.  Creating all delay events inside
+    one shared stage callback — in list order — therefore produces the
     identical global allocation sequence with one heap event instead of
     N.  Callbacks receive the fired delay event (they are ordinary event
     callbacks).

@@ -136,6 +136,11 @@ class Mac:
         return time + (PLCP_OVERHEAD if plcp else 0.0)
 
     def _deliver_up(self, pkt: Packet) -> None:
+        # On the fast path every radio that heard the transmission holds
+        # this same frame; the stack above edits what it accepts (TTL, hop
+        # counts), so it gets its own copy, with the sender's uid and no
+        # uid drawn.
+        pkt = pkt._clone()
         self.stats.data_received += 1
         self._obs_rx.inc()
         if self.trace_callback is not None:

@@ -14,6 +14,7 @@ from math import hypot
 from typing import TYPE_CHECKING, Optional
 
 from repro.des.events import DeferredBatch
+from repro.net import packet as packet_module
 from repro.net.packet import Packet
 from repro.obs import api as obs
 from repro.perf.fastpath import FASTPATH
@@ -183,12 +184,18 @@ class WirelessChannel:
     def _transmit_fast(
         self, sender: WirelessPhy, pkt: Packet, duration: float
     ) -> None:
-        """Fast-path fan-out: cached link budgets, trampoline delivery.
+        """Fast-path fan-out: cached link budgets, one shared frame.
 
         Observably identical to the reference loop in :meth:`transmit`:
         the same receivers get the same power at the same simulated time,
         in the same event order (see
-        :class:`~repro.des.events.DeferredCall`).
+        :class:`~repro.des.events.DeferredBatch`).  Every receiver gets
+        the same copy of ``pkt``, made here so the sender's edits between
+        attempts (retry count, NAV duration, rate) cannot reach a frame
+        still on the air.  Below the MAC's accept point nothing writes to
+        it; :meth:`repro.mac.base.Mac._deliver_up` copies what it passes
+        up.  Each delivery still draws one uid, as the reference loop's
+        per-receiver ``copy(keep_uid=True)`` does.
         """
         env = self.env
         params = sender.params
@@ -205,6 +212,8 @@ class WirelessChannel:
         sender_pos = sender.position
         loss_rng = self._loss_rng
         ledger = self._ledger
+        frame = pkt._clone()
+        uids = packet_module._uid_counter
         deliveries: list[tuple] = []
         for receiver in self._phys:
             if receiver is sender:
@@ -259,11 +268,11 @@ class WirelessChannel:
                 if ledger is not None:
                     ledger.note(pkt, "degraded", env.now)
                 continue
+            next(uids)
             deliveries.append(
                 (
                     distance / SPEED_OF_LIGHT,
-                    _Delivery(receiver, pkt.copy(keep_uid=True), power,
-                              duration, distance),
+                    _Delivery(receiver, frame, power, duration, distance),
                 )
             )
         if deliveries:

@@ -22,6 +22,19 @@ from repro.perf.fastpath import FASTPATH
 _uid_counter = itertools.count()
 
 
+def reset_uid_counter() -> None:
+    """Start packet uids from zero again.
+
+    Every :class:`~repro.core.scenario.EblScenario` calls this when it is
+    built, so a trial's uids, and the trace digests that cover them, do
+    not depend on what ran earlier in the same process.  Code that draws
+    uids reads ``_uid_counter`` through this module at call time, so the
+    rebinding reaches it.
+    """
+    global _uid_counter
+    _uid_counter = itertools.count()
+
+
 #: Per-header-class cache of compiled copy functions (built on first use;
 #: header dataclasses have fixed field sets, so the copier can be
 #: specialised once per class).
@@ -97,8 +110,11 @@ class Packet:
     Attributes
     ----------
     uid:
-        Globally unique id (fresh per packet object; copies get new uids
-        unless copied via :meth:`copy` with ``keep_uid=True``).
+        Unique id within one scenario (fresh per packet object; copies
+        get new uids unless copied via :meth:`copy` with
+        ``keep_uid=True``).  The wireless channel hands every receiver of
+        a transmission the same frame, and each MAC copies the frames it
+        accepts; all of these share the sender's uid.
     ptype:
         Coarse packet class for tracing/queueing.
     size:
@@ -154,29 +170,11 @@ class Packet:
         """Copy this packet with independent headers (fresh uid unless
         ``keep_uid``).
 
-        The wireless channel hands an independent copy to every receiver
-        so per-hop mutations (TTL, MAC header) cannot alias.  Headers are
-        duplicated via compiled per-class copiers rather than ``deepcopy``
-        — this is the simulator's hottest path.  The fast path skips the
-        dataclass constructor entirely: a copy's fields were already
-        validated when the original was built.
+        The reference channel loop hands an independent copy to every
+        receiver so per-hop mutations (TTL, MAC header) cannot alias.
+        Headers are duplicated via compiled per-class copiers rather than
+        ``deepcopy``.  Every copy draws one uid, even with ``keep_uid``.
         """
-        if FASTPATH:
-            dup = Packet.__new__(Packet)
-            dup.ptype = self.ptype
-            dup.size = self.size
-            dup.ip = _dup_header(self.ip)
-            dup.mac = _dup_header(self.mac)
-            dup.headers = {k: _dup_header(v) for k, v in self.headers.items()}
-            dup.timestamp = self.timestamp
-            # Always draw from the counter, even when keeping the uid: the
-            # reference constructor path consumes one per copy, and uid
-            # sequences must match it bit-for-bit in the equivalence tests.
-            fresh_uid = next(_uid_counter)
-            dup.uid = self.uid if keep_uid else fresh_uid
-            dup.num_forwards = self.num_forwards
-            dup.meta = dict(self.meta)
-            return dup
         dup = Packet(
             ptype=self.ptype,
             size=self.size,
@@ -189,6 +187,26 @@ class Packet:
         )
         if keep_uid:
             dup.uid = self.uid
+        return dup
+
+    def _clone(self) -> "Packet":
+        """Copy with independent headers and the same uid, drawing none.
+
+        The channel's one frame per transmission and a MAC's copy of each
+        frame it accepts are made this way: neither is a new packet, and
+        the uid sequence is advanced once per delivery instead, exactly as
+        the reference loop's per-receiver :meth:`copy` calls advance it.
+        """
+        dup = Packet.__new__(Packet)
+        dup.ptype = self.ptype
+        dup.size = self.size
+        dup.ip = _dup_header(self.ip)
+        dup.mac = _dup_header(self.mac)
+        dup.headers = {k: _dup_header(v) for k, v in self.headers.items()}
+        dup.timestamp = self.timestamp
+        dup.uid = self.uid
+        dup.num_forwards = self.num_forwards
+        dup.meta = dict(self.meta)
         return dup
 
     def __repr__(self) -> str:

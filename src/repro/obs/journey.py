@@ -207,8 +207,9 @@ class JourneyTracker:
     The tracker only ever *reads* packets — it never mutates them, never
     draws randomness, and never schedules events, so enabling it cannot
     perturb the simulation (the differential-digest guarantee).  Keying
-    by uid sidesteps ``Packet.copy`` aliasing: the channel's per-receiver
-    copies keep the sender's uid, so their hops land on the same journey.
+    by uid sidesteps copy aliasing: the frame the channel shares among
+    its receivers and each MAC's copy of a frame it accepts keep the
+    sender's uid, so their hops land on the same journey.
     """
 
     def __init__(self, max_journeys: int = DEFAULT_MAX_JOURNEYS) -> None:

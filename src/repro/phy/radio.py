@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.des.events import DeferredCall, Event
+from repro.des.events import DeferredCall, Event, Timeout
 from repro.net.packet import Packet
 from repro.obs import api as obs
 from repro.perf.fastpath import FASTPATH
@@ -89,14 +89,30 @@ class RadioParams:
 
 @(dataclass(slots=True) if FASTPATH else dataclass)
 class _Signal:
-    """One signal currently on the air at this receiver."""
+    """One signal currently on the air at this receiver.
+
+    On the fast path, :meth:`retire` is the callback of the event that
+    ends it: a bound method of a slotted object costs less memory per
+    signal than a closure.
+    """
 
     pkt: Packet
     power: float
     end_time: float
+    #: Decode threshold for the frame's rate, looked up once on arrival:
+    #: it depends only on the radio's params and ``meta["phy_rate"]``.
+    threshold: float
+    #: The receiving radio, for :meth:`retire`.
+    phy: "WirelessPhy"
+    #: Airtime of the frame.
+    duration: float
     corrupted: bool = False
     decoding: bool = False
     distance: float = 0.0
+
+    def retire(self, _event: Event) -> None:
+        """The last bit has left the air: end the signal at its radio."""
+        self.phy._end_signal(self)
 
 
 class WirelessPhy:
@@ -282,7 +298,10 @@ class WirelessPhy:
         if self.energy is not None:
             self.energy.note_tx(duration)
         self.channel.transmit(self, pkt, duration)
-        # Wake idle waiters when our own transmission completes.
+        # Wake idle waiters when our own transmission completes.  Stays a
+        # trampoline: right after this returns, the MAC schedules its own
+        # Timeout(duration) for the same instant, and a direct schedule
+        # here would swap the two.
         if FASTPATH:
             DeferredCall(self.env, duration, self._notify_if_idle)
         else:
@@ -310,6 +329,9 @@ class WirelessPhy:
             pkt=pkt,
             power=power,
             end_time=self.env.now + duration,
+            threshold=self.params.rx_threshold_for(pkt.meta.get("phy_rate")),
+            phy=self,
+            duration=duration,
             distance=distance,
         )
         self._signals.append(signal)
@@ -321,11 +343,13 @@ class WirelessPhy:
         else:
             self._classify(signal)
         if FASTPATH:
-            DeferredCall(
-                self.env, duration, lambda: self._end_signal(signal, duration)
-            )
+            # Scheduled directly, not through a DeferredCall: nothing runs
+            # between here and where the trampoline's first stage would
+            # schedule it, so every tie keeps its order (docs/PERFORMANCE.md,
+            # "One frame per transmission").
+            Timeout(self.env, duration).callbacks.append(signal.retire)
         else:
-            self.env.process(self._signal_lifetime(signal, duration))
+            self.env.process(self._signal_lifetime(signal))
 
     def _interference_for(self, signal: _Signal) -> float:
         """Noise floor plus the power of every *other* signal on the air."""
@@ -359,7 +383,7 @@ class WirelessPhy:
                 ledger.note(signal.pkt, "collision", self.env.now)
             return
         decodable = (
-            signal.power >= self._decode_threshold(signal)
+            signal.power >= signal.threshold
             and signal.power / self._interference_for(signal)
             >= self.params.sinr_threshold
         )
@@ -373,13 +397,9 @@ class WirelessPhy:
             if ledger is not None:
                 ledger.note(signal.pkt, "undecodable", self.env.now)
 
-    def _decode_threshold(self, signal: _Signal) -> float:
-        """Sensitivity for this frame, honouring its transmit rate."""
-        return self.params.rx_threshold_for(signal.pkt.meta.get("phy_rate"))
-
     def _classify(self, signal: _Signal) -> None:
         """Decide whether ``signal`` becomes the decoded frame."""
-        decodable = signal.power >= self._decode_threshold(signal)
+        decodable = signal.power >= signal.threshold
         ledger = self._ledger
         if self.transmitting:
             signal.corrupted = True
@@ -422,11 +442,11 @@ class WirelessPhy:
                 ledger.note(current.pkt, "collision", self.env.now)
                 ledger.note(signal.pkt, "collision", self.env.now)
 
-    def _signal_lifetime(self, signal: _Signal, duration: float):
-        yield self.env.timeout(duration)
-        self._end_signal(signal, duration)
+    def _signal_lifetime(self, signal: _Signal):
+        yield self.env.timeout(signal.duration)
+        self._end_signal(signal)
 
-    def _end_signal(self, signal: _Signal, duration: float) -> None:
+    def _end_signal(self, signal: _Signal) -> None:
         """Retire ``signal`` when its last bit leaves the air."""
         self._signals.remove(signal)
         if not self.up:
@@ -436,10 +456,8 @@ class WirelessPhy:
                 self._ledger.note(signal.pkt, "rx-down", self.env.now)
             self._notify_if_idle()
             return
-        if self.energy is not None and signal.power >= self._decode_threshold(
-            signal
-        ):
-            self.energy.note_rx(duration)
+        if self.energy is not None and signal.power >= signal.threshold:
+            self.energy.note_rx(signal.duration)
         if signal is self._current:
             self._current = None
             if signal.corrupted or self.transmitting:
@@ -466,9 +484,7 @@ class WirelessPhy:
         elif signal.decoding:  # pragma: no cover - defensive
             pass
         else:
-            if signal.corrupted and signal.power >= self._decode_threshold(
-                signal
-            ):
+            if signal.corrupted and signal.power >= signal.threshold:
                 self.frames_corrupted += 1
                 self._obs_corrupt.inc()
                 if self.mac is not None:

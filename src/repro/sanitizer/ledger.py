@@ -4,14 +4,15 @@ The ledger is fed from the same two sources as the rest of the
 simulator's accounting:
 
 * every trace event (``s``/``r``/``f``/``D``/``x``) through
-  :meth:`repro.net.node.Node._trace`, keyed by packet uid so the
-  channel's per-receiver copies (``Packet.copy(keep_uid=True)``) land on
-  one record; and
-* *loss notes* from the channel and phy — the silent per-copy loss
-  sites (link blocked by a fault, below carrier sense, degradation
+  :meth:`repro.net.node.Node._trace`, keyed by packet uid.  The frame
+  the channel shares among the radios in range and each MAC's copy of a
+  frame it accepts keep the sender's uid, so they land on one record;
+  and
+* *loss notes* from the channel and phy — the silent loss sites at each
+  receiver (link blocked by a fault, below carrier sense, degradation
   window, collision, crashed radio, error model) that produce no trace
-  event.  A note **attributes** the loss: a uid whose every copy died at
-  a noted site is accounted for, not leaked.
+  event.  A note **attributes** the loss: a uid that died at a noted
+  site at every receiver is accounted for, not leaked.
 
 At trial end :meth:`audit` demands that every *traced* uid terminated in
 exactly one of the allowed ways: delivered to an agent, dropped with a

@@ -207,3 +207,24 @@ def test_edca_trial_runs_end_to_end():
     )
     assert analysis.throughput.average > 0.3
     assert analysis.safety.gap_fraction_consumed < 0.05
+
+
+def test_trial_digest_does_not_depend_on_earlier_packets():
+    """Each scenario starts packet uids from zero, so the same trial run
+    twice in one process gives one trace digest, whatever was built in
+    between."""
+    from repro.core.runner import run_trial
+    from repro.net.headers import IpHeader
+    from repro.net.packet import Packet, PacketType
+    from repro.perf.equivalence import trace_digest
+
+    config = TRIAL_3.with_overrides(duration=3.0, enable_trace=True)
+    first = run_trial(config)
+    unrelated = [
+        Packet(ptype=PacketType.CBR, size=100, ip=IpHeader(src=0, dst=1))
+        for _ in range(17)
+    ]
+    assert unrelated[0].uid > 0
+    second = run_trial(config)
+    assert trace_digest(second) == trace_digest(first)
+    assert min(rec.uid for rec in second.tracer.records) == 0

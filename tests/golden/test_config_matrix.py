@@ -24,7 +24,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.net.packet as packet_module
 from repro.core.runner import run_trial
 from repro.core.trials import TrialConfig
 from repro.faults.schedule import FAULT_PLAN_PRESETS
@@ -103,10 +102,7 @@ def _golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
-def test_trace_digest_matches_golden(name, request, monkeypatch):
-    # Packet uids come from a process-wide counter and the digest covers
-    # them, so each row starts it from zero, whatever ran before.
-    monkeypatch.setattr(packet_module, "_uid_counter", itertools.count())
+def test_trace_digest_matches_golden(name, request):
     digest = trace_digest(run_trial(MATRIX[name]))
 
     if request.config.getoption("--update-golden"):

@@ -14,26 +14,13 @@ here before it can silently skew a paper figure.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.packet as packet_module
 from repro.core.runner import run_trial
 from repro.core.trials import TRIAL_1, TRIAL_2, TRIAL_3
 from repro.obs import ObservabilityConfig
 from repro.perf.equivalence import metrics_summary, trace_digest
 
-
-def run_fresh(config):
-    """Run a trial with the packet uid counter rewound to zero.
-
-    The uid counter is process-global, so back-to-back in-process runs
-    would differ in every uid regardless of observability; rewinding it
-    makes the two traces comparable field-for-field.
-    """
-    packet_module._uid_counter = itertools.count()
-    return run_trial(config)
 
 #: Matches the golden-summary duration: long enough for the brake
 #: warning to propagate through both platoons.
@@ -51,8 +38,8 @@ FULL_OBSERVABILITY = ObservabilityConfig(
 @pytest.mark.parametrize("name", sorted(TRIALS))
 def test_trace_digest_identical_with_observability(name):
     base = TRIALS[name].with_overrides(duration=DURATION, enable_trace=True)
-    plain = run_fresh(base)
-    observed = run_fresh(base.with_overrides(observability=FULL_OBSERVABILITY))
+    plain = run_trial(base)
+    observed = run_trial(base.with_overrides(observability=FULL_OBSERVABILITY))
     assert trace_digest(observed) == trace_digest(plain), (
         f"{name}: enabling observability changed the packet trace — the "
         "telemetry layer has a simulation side effect"
@@ -62,8 +49,8 @@ def test_trace_digest_identical_with_observability(name):
 def test_summary_identical_and_telemetry_present():
     """One trial checked field-by-field, plus proof the telemetry ran."""
     base = TRIAL_1.with_overrides(duration=DURATION)
-    plain = run_fresh(base)
-    observed = run_fresh(base.with_overrides(observability=FULL_OBSERVABILITY))
+    plain = run_trial(base)
+    observed = run_trial(base.with_overrides(observability=FULL_OBSERVABILITY))
     assert metrics_summary(observed) == metrics_summary(plain)
     obs = observed.observability
     assert obs is not None and obs.registry is not None

@@ -11,21 +11,12 @@ protocol state would fail here before it could skew a paper figure.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.packet as packet_module
 from repro.core.runner import run_trial
 from repro.core.trials import TRIAL_1, TRIAL_2, TRIAL_3
 from repro.perf.equivalence import metrics_summary, trace_digest
 from repro.sanitizer.config import SanitizerConfig
-
-
-def run_fresh(config):
-    """Run a trial with the packet uid counter rewound to zero."""
-    packet_module._uid_counter = itertools.count()
-    return run_trial(config)
 
 
 #: Long enough for the brake warning to propagate through both platoons.
@@ -37,8 +28,8 @@ TRIALS = {"trial1": TRIAL_1, "trial2": TRIAL_2, "trial3": TRIAL_3}
 @pytest.mark.parametrize("name", sorted(TRIALS))
 def test_trace_digest_identical_with_sanitizer(name):
     base = TRIALS[name].with_overrides(duration=DURATION, enable_trace=True)
-    plain = run_fresh(base)
-    sanitized = run_fresh(base.with_overrides(sanitize=SanitizerConfig()))
+    plain = run_trial(base)
+    sanitized = run_trial(base.with_overrides(sanitize=SanitizerConfig()))
     assert trace_digest(sanitized) == trace_digest(plain), (
         f"{name}: enabling the sanitizer changed the packet trace — a "
         "checker has a simulation side effect"
@@ -49,8 +40,8 @@ def test_trace_digest_identical_with_sanitizer(name):
 
 def test_summary_identical_and_sanitizer_ran():
     base = TRIAL_1.with_overrides(duration=DURATION)
-    plain = run_fresh(base)
-    sanitized = run_fresh(base.with_overrides(sanitize=SanitizerConfig()))
+    plain = run_trial(base)
+    sanitized = run_trial(base.with_overrides(sanitize=SanitizerConfig()))
     assert metrics_summary(sanitized) == metrics_summary(plain)
     report = sanitized.sanitizer_report
     # The run was genuinely audited, not silently no-op'd.

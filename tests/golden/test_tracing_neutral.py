@@ -9,21 +9,12 @@ packet trace must still be bit-identical.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.packet as packet_module
 from repro.core.runner import run_trial
 from repro.core.trials import TRIAL_1, TRIAL_3
 from repro.obs import ObservabilityConfig
 from repro.perf.equivalence import metrics_summary, trace_digest
-
-
-def run_fresh(config):
-    """Run a trial with the packet uid counter rewound to zero."""
-    packet_module._uid_counter = itertools.count()
-    return run_trial(config)
 
 
 #: Long enough for the brake warning to propagate through both platoons.
@@ -39,8 +30,8 @@ TRIALS = {"trial1": TRIAL_1, "trial3": TRIAL_3}
 @pytest.mark.parametrize("name", sorted(TRIALS))
 def test_trace_digest_identical_with_tracing(name):
     base = TRIALS[name].with_overrides(duration=DURATION, enable_trace=True)
-    plain = run_fresh(base)
-    traced = run_fresh(base.with_overrides(observability=TRACING))
+    plain = run_trial(base)
+    traced = run_trial(base.with_overrides(observability=TRACING))
     assert trace_digest(traced) == trace_digest(plain), (
         f"{name}: enabling the span tracer changed the packet trace — "
         "the traced kernel loop has a simulation side effect"
@@ -51,8 +42,8 @@ def test_trace_digest_identical_with_tracing(name):
 
 def test_summary_identical_with_tracing():
     base = TRIAL_1.with_overrides(duration=DURATION)
-    plain = run_fresh(base)
-    traced = run_fresh(base.with_overrides(observability=TRACING))
+    plain = run_trial(base)
+    traced = run_trial(base.with_overrides(observability=TRACING))
     assert metrics_summary(traced) == metrics_summary(plain)
     spans = traced.observability.spans.finalize()
     # The causal structure resolved: nearly every span has a parent.

@@ -150,3 +150,27 @@ def test_header_constant_sizes():
     assert UdpHeader.WIRE_SIZE == 8
     assert MacHeader.WIRE_SIZE == 28
     assert EblHeader.WIRE_SIZE == 8
+
+
+def test_clone_keeps_uid_and_draws_none():
+    import repro.net.packet as packet_module
+
+    pkt = make_packet(headers={"tcp": TcpHeader(seqno=7)}, meta={"k": 1})
+    before = next(packet_module._uid_counter)
+    clone = pkt._clone()
+    assert next(packet_module._uid_counter) == before + 1
+    assert clone is not pkt and clone.uid == pkt.uid
+    clone.ip.ttl -= 1
+    clone.headers["tcp"].seqno = 8
+    clone.meta["k"] = 2
+    assert (pkt.ip.ttl, pkt.headers["tcp"].seqno, pkt.meta) == (32, 7, {"k": 1})
+
+
+def test_reset_uid_counter_restarts_at_zero(monkeypatch):
+    import repro.net.packet as packet_module
+
+    # Put the process-wide counter back as it was after the test.
+    monkeypatch.setattr(packet_module, "_uid_counter", packet_module._uid_counter)
+    make_packet()
+    packet_module.reset_uid_counter()
+    assert make_packet().uid == 0

@@ -158,8 +158,11 @@ class TestJourneyTracker:
         assert journey.delivered
 
     def test_channel_copies_share_one_journey(self):
-        # The channel fans a frame out via Packet.copy(keep_uid=True):
-        # all receiver-side hops must land on the sender's journey.
+        # Receivers see copies that keep the sender's uid: the frame the
+        # channel shares per transmission, each MAC's copy of a frame it
+        # accepts, and the reference loop's Packet.copy(keep_uid=True) per
+        # receiver.  All receiver-side hops must land on the sender's
+        # journey.
         tracker = JourneyTracker()
         pkt = data_packet()
         tracker.record("s", 0.0, 0, "MAC", pkt)

@@ -12,12 +12,10 @@ propagate) is recorded once per module and shared across the tests:
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
 
-import repro.net.packet as packet_module
 from repro.cli import main
 from repro.core.analysis import analyze_trial
 from repro.core.runner import run_trial
@@ -40,7 +38,6 @@ TRACE_ONLY = ObservabilityConfig(metrics=False, journeys=False, tracing=True)
 
 @pytest.fixture(scope="module")
 def traced_result():
-    packet_module._uid_counter = itertools.count()
     return run_trial(
         TRIAL_1.with_overrides(duration=DURATION, observability=TRACE_ONLY)
     )

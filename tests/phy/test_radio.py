@@ -1,11 +1,18 @@
 """Unit tests for the radio transceiver: carrier sense, capture, collisions."""
 
+import itertools
+
 import pytest
 
+import repro.net.packet as packet_module
 from repro.des import Environment
+from repro.mac.csma import CsmaMac
+from repro.net.addresses import BROADCAST
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
+from repro.net.queues import DropTailQueue
+from repro.perf.fastpath import FASTPATH
 from repro.phy.radio import WirelessPhy
 
 
@@ -217,19 +224,98 @@ def test_channel_counts_transmissions(env, channel):
     assert channel.transmissions == 1
 
 
+def accepting_mac(env, channel, address, x):
+    """A real MAC on a radio at ``x``; returns the frames it passes up."""
+    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+    channel.attach(phy)
+    mac = CsmaMac(env, address, phy, DropTailQueue(env))
+    accepted = []
+    mac.recv_callback = accepted.append
+    return accepted
+
+
+def broadcast_packet():
+    return Packet(
+        ptype=PacketType.CBR,
+        size=1000,
+        ip=IpHeader(src=0, dst=BROADCAST),
+        mac=MacHeader(src=0, dst=BROADCAST),
+        meta={"note": "original"},
+    )
+
+
 def test_receivers_get_independent_copies(env, channel):
+    """MACs that accept one broadcast pass up packets that do not alias."""
     tx = make_phy(env, channel, 0.0)
-    rx1 = make_phy(env, channel, 100.0)
-    rx2 = make_phy(env, channel, 150.0)
+    got1 = accepting_mac(env, channel, 1, 100.0)
+    got2 = accepting_mac(env, channel, 2, 150.0)
+    pkt = broadcast_packet()
+    tx.transmit(pkt, duration=0.004)
+    env.run()
+    (first,), (second,) = got1, got2
+    assert first is not second
+    assert first is not pkt and second is not pkt
+    assert first.uid == second.uid == pkt.uid
+    first.ip.ttl = 1
+    first.mac.dst = 7
+    first.meta["note"] = "edited"
+    for other in (second, pkt):
+        assert other.ip.ttl == 32
+        assert other.mac.dst == BROADCAST
+        assert other.meta == {"note": "original"}
+
+
+def test_sender_edits_after_transmit_do_not_reach_receivers(env, channel):
+    """The DCF sender edits its frame between attempts; receivers still
+    decoding it must see it as it was sent."""
+    tx = make_phy(env, channel, 0.0)
+    rx = make_phy(env, channel, 100.0)
+    pkt = data_packet()
+    tx.transmit(pkt, duration=0.004)
+    pkt.mac.retries = 3
+    pkt.mac.duration = 0.5
+    pkt.meta["phy_rate"] = 11e6
+    pkt.ip.ttl = 1
+    env.run()
+    (got,) = rx.mac.received
+    assert (got.mac.retries, got.mac.duration, got.ip.ttl) == (0, 0.0, 32)
+    assert "phy_rate" not in got.meta
+
+
+@pytest.mark.skipif(not FASTPATH, reason="the reference loop copies per receiver")
+def test_receivers_of_one_transmission_share_one_frame(env, channel):
+    tx = make_phy(env, channel, 0.0)
+    receivers = [make_phy(env, channel, x) for x in (100.0, 150.0, 200.0)]
     pkt = data_packet()
     tx.transmit(pkt, duration=0.004)
     env.run()
-    got1 = rx1.mac.received[0]
-    got2 = rx2.mac.received[0]
-    assert got1 is not got2
-    assert got1 is not pkt
-    got1.ip.ttl = 1
-    assert got2.ip.ttl == 32
+    frames = [rx.mac.started[0] for rx in receivers]
+    frames += [rx.mac.received[0] for rx in receivers]
+    assert all(frame is frames[0] for frame in frames)
+    assert frames[0] is not pkt and frames[0].uid == pkt.uid
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_one_transmission_costs_two_events_per_receiver(
+    env, channel, k, monkeypatch
+):
+    """Offering one frame to k accepting radios processes 2k + 3 kernel
+    events (a DeferredBatch stage, k deliveries, k retirements and the
+    two-stage transmit-done trampoline) and draws exactly k uids, one
+    per delivery, as the reference loop's per-receiver copies do."""
+    tx = make_phy(env, channel, 0.0)
+    accepted = [
+        accepting_mac(env, channel, i + 1, 20.0 * (i + 1)) for i in range(k)
+    ]
+    pkt = broadcast_packet()
+    monkeypatch.setattr(packet_module, "_uid_counter", itertools.count(1000))
+    tx.transmit(pkt, duration=0.004)
+    env.run()
+    assert [len(frames) for frames in accepted] == [1] * k
+    # The reference mode runs each delivery, each retirement and the
+    # transmit-done notification as a three-event process.
+    assert env.events_processed == (2 * k + 3 if FASTPATH else 6 * k + 3)
+    assert next(packet_module._uid_counter) == 1000 + k
 
 
 def test_propagation_delay_orders_reception(env, channel):
