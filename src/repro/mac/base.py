@@ -137,10 +137,9 @@ class Mac:
 
     def _deliver_up(self, pkt: Packet) -> None:
         # On the fast path every radio that heard the transmission holds
-        # this same frame; the stack above edits what it accepts (TTL, hop
-        # counts), so it gets its own copy, with the sender's uid and no
-        # uid drawn.
-        pkt = pkt._clone()
+        # this same frame, and it goes up uncopied: the stack above only
+        # reads it, and the routing layer clones it (Packet._clone) before
+        # it edits or forwards it (see repro.routing.base).
         self.stats.data_received += 1
         self._obs_rx.inc()
         if self.trace_callback is not None:

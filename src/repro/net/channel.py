@@ -192,10 +192,11 @@ class WirelessChannel:
         :class:`~repro.des.events.DeferredBatch`).  Every receiver gets
         the same copy of ``pkt``, made here so the sender's edits between
         attempts (retry count, NAV duration, rate) cannot reach a frame
-        still on the air.  Below the MAC's accept point nothing writes to
-        it; :meth:`repro.mac.base.Mac._deliver_up` copies what it passes
-        up.  Each delivery still draws one uid, as the reference loop's
-        per-receiver ``copy(keep_uid=True)`` does.
+        still on the air.  Nothing writes to it afterwards:
+        :meth:`repro.mac.base.Mac._deliver_up` passes it up as it is, and
+        a routing layer forwards its own ``_clone`` (see
+        :mod:`repro.routing.base`).  Each delivery still draws one uid, as
+        the reference loop's per-receiver ``copy(keep_uid=True)`` does.
         """
         env = self.env
         params = sender.params

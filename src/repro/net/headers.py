@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.net.addresses import Address, BROADCAST
 from repro.perf.fastpath import FASTPATH
 
-#: Headers are copied once per transmission and once per accepted frame,
+#: Headers are copied once per transmission and once per forwarded packet,
 #: so their memory layout is hot; slotted dataclasses drop the
 #: per-instance dict (reference mode keeps the plain layout).
 _slotted = dataclass(slots=True) if FASTPATH else dataclass

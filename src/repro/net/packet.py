@@ -113,8 +113,9 @@ class Packet:
         Unique id within one scenario (fresh per packet object; copies
         get new uids unless copied via :meth:`copy` with
         ``keep_uid=True``).  The wireless channel hands every receiver of
-        a transmission the same frame, and each MAC copies the frames it
-        accepts; all of these share the sender's uid.
+        a transmission the same frame, and a routing layer forwards its
+        own copy of a frame it received; all of these share the sender's
+        uid.
     ptype:
         Coarse packet class for tracing/queueing.
     size:
@@ -192,10 +193,11 @@ class Packet:
     def _clone(self) -> "Packet":
         """Copy with independent headers and the same uid, drawing none.
 
-        The channel's one frame per transmission and a MAC's copy of each
-        frame it accepts are made this way: neither is a new packet, and
-        the uid sequence is advanced once per delivery instead, exactly as
-        the reference loop's per-receiver :meth:`copy` calls advance it.
+        The channel's one frame per transmission and a routing layer's
+        copy of a received packet it forwards are made this way: neither
+        is a new packet.  The channel advances the uid sequence once per
+        delivery instead, exactly as the reference loop's per-receiver
+        :meth:`copy` calls advance it.
         """
         dup = Packet.__new__(Packet)
         dup.ptype = self.ptype

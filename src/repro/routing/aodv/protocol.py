@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -60,8 +61,12 @@ class Aodv(RoutingProtocol):
         self.rreq_id = 0
         self.stats = AodvStats()
         self._discoveries: dict[Address, _Discovery] = {}
-        #: (origin, rreq_id) duplicate cache with insertion times.
+        #: (origin, rreq_id) duplicate cache with insertion times, and its
+        #: keys oldest first.  Expiry pops the deque's front; walking a
+        #: dict from the front would pass every slot deleted since its
+        #: last resize, and an OrderedDict costs a list node per entry.
         self._rreq_seen: dict[tuple[Address, int], float] = {}
+        self._rreq_order: deque[tuple[Address, int]] = deque()
         #: Last HELLO time per neighbour (when beaconing).
         self._neighbour_heard: dict[Address, float] = {}
         self._obs_rreq = obs.counter("aodv.rreq.sent")
@@ -89,6 +94,7 @@ class Aodv(RoutingProtocol):
         self._discoveries.clear()
         self.table = RouteTable()
         self._rreq_seen.clear()
+        self._rreq_order.clear()
         self._neighbour_heard.clear()
         self.stats.state_resets += 1
 
@@ -162,7 +168,7 @@ class Aodv(RoutingProtocol):
             unknown_seqno=unknown,
             ttl=discovery.ttl,
         )
-        self._rreq_seen[(self.address, self.rreq_id)] = self.env.now
+        self._remember_rreq((self.address, self.rreq_id), self.env.now)
         self.stats.rreq_sent += 1
         self._obs_rreq.inc()
         self.node.enqueue_to_mac(rreq, BROADCAST)
@@ -227,7 +233,7 @@ class Aodv(RoutingProtocol):
         if pkt.ip.dst in (self.address, BROADCAST):
             self.node.deliver_up(pkt)
             return
-        if not self._decrement_ttl(pkt):
+        if self._ttl_expired(pkt):
             return
         route = self.table.lookup(pkt.ip.dst, self.env.now)
         if route is None:
@@ -238,7 +244,7 @@ class Aodv(RoutingProtocol):
         self._refresh(pkt.ip.dst)
         self._refresh(route.next_hop)
         self._refresh(pkt.ip.src)
-        pkt.num_forwards += 1
+        pkt = self._forward_copy(pkt)
         self.node.count_forward(pkt)
         self.node.enqueue_to_mac(pkt, route.next_hop)
 
@@ -264,7 +270,7 @@ class Aodv(RoutingProtocol):
         self._expire_rreq_cache(now)
         if key in self._rreq_seen:
             return
-        self._rreq_seen[key] = now
+        self._remember_rreq(key, now)
 
         hop_count = header.hop_count + 1
         # Create/refresh the reverse route to the originator.
@@ -316,19 +322,26 @@ class Aodv(RoutingProtocol):
                 self._send_gratuitous_rrep(header, entry)
             return
 
-        # Re-flood while TTL lasts.
-        pkt.ip.ttl -= 1
-        if pkt.ip.ttl <= 0:
+        # Re-flood while TTL lasts, as our own copy of the shared frame.
+        if pkt.ip.ttl <= 1:
             return
-        header.hop_count = hop_count
+        pkt = pkt._clone()
+        pkt.ip.ttl -= 1
+        pkt.header("aodv").hop_count = hop_count
         self.stats.rreq_forwarded += 1
         self.node.enqueue_to_mac(pkt, BROADCAST)
 
+    def _remember_rreq(self, key: tuple[Address, int], now: float) -> None:
+        # Keys enter the cache once, at env.now, so insertion order is
+        # time order and the stale entries are always its oldest ones.
+        self._rreq_seen[key] = now
+        self._rreq_order.append(key)
+
     def _expire_rreq_cache(self, now: float) -> None:
         horizon = now - self.params.path_discovery_time
-        stale = [k for k, t in self._rreq_seen.items() if t < horizon]
-        for key in stale:
-            del self._rreq_seen[key]
+        seen, order = self._rreq_seen, self._rreq_order
+        while order and seen[order[0]] < horizon:
+            del seen[order.popleft()]
 
     # -- RREP -------------------------------------------------------------------------------
 
@@ -398,11 +411,11 @@ class Aodv(RoutingProtocol):
         if reverse is None:
             self.node.drop(pkt, "NRTE-RREP")
             return
-        pkt.ip.ttl -= 1
-        if pkt.ip.ttl <= 0:
-            self.node.drop(pkt, "TTL")
+        if self._ttl_expired(pkt):
             return
-        header.hop_count = hop_count
+        pkt = pkt._clone()
+        pkt.ip.ttl -= 1
+        pkt.header("aodv").hop_count = hop_count
         forward = self.table.get(header.dst)
         if forward is not None:
             forward.precursors.add(reverse.next_hop)

@@ -107,13 +107,13 @@ class Dsdv(RoutingProtocol):
         if self._is_for_us(pkt):
             self.node.deliver_up(pkt)
             return
-        if not self._decrement_ttl(pkt):
+        if self._ttl_expired(pkt):
             return
         route = self.table.lookup(pkt.ip.dst, self.env.now)
         if route is None:
             self.node.drop(pkt, "NRTE")
             return
-        pkt.num_forwards += 1
+        pkt = self._forward_copy(pkt)
         self.node.count_forward(pkt)
         self.node.enqueue_to_mac(pkt, route.next_hop)
 

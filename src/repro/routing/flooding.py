@@ -45,9 +45,9 @@ class Flooding(RoutingProtocol):
             self.node.deliver_up(pkt)
             if pkt.ip.dst == self.address:
                 return
-        if not self._decrement_ttl(pkt):
+        if self._ttl_expired(pkt):
             return
-        pkt.num_forwards += 1
+        pkt = self._forward_copy(pkt)
         self.rebroadcasts += 1
         self.node.count_forward(pkt)
         self.node.enqueue_to_mac(pkt, BROADCAST)

@@ -43,8 +43,8 @@ class StaticRouting(RoutingProtocol):
         if self._is_for_us(pkt):
             self.node.deliver_up(pkt)
             return
-        if not self._decrement_ttl(pkt):
+        if self._ttl_expired(pkt):
             return
-        pkt.num_forwards += 1
+        pkt = self._forward_copy(pkt)
         self.node.count_forward(pkt)
         self.node.enqueue_to_mac(pkt, self.next_hop_for(pkt.ip.dst))

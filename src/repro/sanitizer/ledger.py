@@ -5,9 +5,9 @@ simulator's accounting:
 
 * every trace event (``s``/``r``/``f``/``D``/``x``) through
   :meth:`repro.net.node.Node._trace`, keyed by packet uid.  The frame
-  the channel shares among the radios in range and each MAC's copy of a
-  frame it accepts keep the sender's uid, so they land on one record;
-  and
+  the channel shares among the radios in range, which the stacks above
+  them read, and the copy a routing layer makes to forward it keep the
+  sender's uid, so they land on one record; and
 * *loss notes* from the channel and phy — the silent loss sites at each
   receiver (link blocked by a fault, below carrier sense, degradation
   window, collision, crashed radio, error model) that produce no trace

@@ -4,10 +4,10 @@
 pins the rest of the configuration surface: both 802.11 MACs crossed
 pairwise with every routing protocol, queue, ARP, bursty loss, RTS/CTS,
 fault plan and a contention-heavy load, plus one TDMA and one CSMA
-point.  Each row is a short trial reduced to one SHA-256 over its packet
-trace and metrics (:func:`repro.perf.equivalence.trace_digest`), so an
-optimization that claims to change no behaviour must leave every digest
-as it is.
+point and three flood-heavy rows at 16 and 32 vehicles.  Each row is a
+short trial reduced to one SHA-256 over its packet trace and metrics
+(:func:`repro.perf.equivalence.trace_digest`), so an optimization that
+claims to change no behaviour must leave every digest as it is.
 
 When a change is *intended* to alter results, regenerate the fixture and
 commit it with the change::
@@ -48,8 +48,10 @@ AXES = {
     "load": ("paper", "dense"),
 }
 
-#: One trial per row, columns in ``AXES`` order, then the seed.  The last
-#: two rows are the single TDMA and CSMA points, outside the cover.
+#: One trial per row, columns in ``AXES`` order, then the seed.  The rows
+#: with a value off the axes lie outside the cover: the single TDMA and
+#: CSMA points, and three flood-heavy rows at 16 and 32 vehicles, where
+#: RREQ and data floods reach every radio in range many times over.
 ROWS = (
     ("802.11", "aodv", "droptail", False, "clean", "off", "none", "dense", 1),
     ("edca", "aodv", "pri", False, "bursty", "rts100", "light", "paper", 2),
@@ -65,6 +67,9 @@ ROWS = (
     ("802.11", "flooding", "red", False, "bursty", "off", "heavy", "paper", 12),
     ("tdma", "aodv", "pri", False, "clean", "off", "light", "paper", 13),
     ("csma", "aodv", "droptail", False, "bursty", "off", "none", "paper", 14),
+    ("tdma", "aodv", "pri", False, "clean", "off", "none", "32-vehicles", 15),
+    ("802.11", "aodv", "pri", False, "clean", "off", "heavy", "16-vehicles", 16),
+    ("802.11", "flooding", "pri", False, "clean", "off", "none", "16-vehicles", 17),
 )
 
 
@@ -81,6 +86,10 @@ def _row_config(row: tuple) -> TrialConfig:
         overrides.update(rts_threshold=100)
     if load == "dense":
         overrides.update(platoon_size=6, cbr_interval=0.002)
+    elif load.endswith("-vehicles"):
+        # Two platoons, one TDMA slot per vehicle.
+        vehicles = int(load.split("-")[0])
+        overrides.update(platoon_size=vehicles // 2, tdma_num_slots=None)
     return TrialConfig(
         name="-".join(parts),
         mac_type=mac_type,
@@ -127,8 +136,12 @@ def test_fixture_holds_exactly_the_matrix_rows():
 
 
 def test_rows_cover_every_pair_of_axis_values():
-    covered = [row[:len(AXES)] for row in ROWS if row[0] in AXES["mac_type"]]
     columns = list(AXES.values())
+    covered = [
+        row[:len(AXES)]
+        for row in ROWS
+        if all(value in axis for value, axis in zip(row, columns))
+    ]
     missing = [
         (i, a, j, b)
         for i, j in itertools.combinations(range(len(columns)), 2)

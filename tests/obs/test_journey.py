@@ -159,8 +159,9 @@ class TestJourneyTracker:
 
     def test_channel_copies_share_one_journey(self):
         # Receivers see copies that keep the sender's uid: the frame the
-        # channel shares per transmission, each MAC's copy of a frame it
-        # accepts, and the reference loop's Packet.copy(keep_uid=True) per
+        # channel shares per transmission, which the stack above each
+        # receiver reads, the copy a routing layer makes to forward it,
+        # and the reference loop's Packet.copy(keep_uid=True) per
         # receiver.  All receiver-side hops must land on the sender's
         # journey.
         tracker = JourneyTracker()

@@ -7,13 +7,16 @@ import pytest
 import repro.net.packet as packet_module
 from repro.des import Environment
 from repro.mac.csma import CsmaMac
+from repro.mobility.base import StationaryMobility
 from repro.net.addresses import BROADCAST
 from repro.net.channel import WirelessChannel
-from repro.net.headers import IpHeader, MacHeader
+from repro.net.headers import IpHeader, MacHeader, UdpHeader
+from repro.net.node import Node
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import DropTailQueue
 from repro.perf.fastpath import FASTPATH
 from repro.phy.radio import WirelessPhy
+from repro.routing.flooding import Flooding
 
 
 class RecordingMac:
@@ -234,35 +237,69 @@ def accepting_mac(env, channel, address, x):
     return accepted
 
 
+def flooding_node(env, channel, address, x):
+    """A node at ``x`` that re-floods what it hears, and the frames its
+    MAC passes up.  The node is not started, so what it forwards stays in
+    its interface queue."""
+    node = Node(
+        env,
+        address,
+        StationaryMobility(x, 0.0),
+        channel,
+        lambda env, addr, phy, ifq: CsmaMac(env, addr, phy, ifq),
+    )
+    Flooding(node)
+    accepted = []
+
+    def receive(pkt):
+        accepted.append(pkt)
+        node._recv_from_mac(pkt)
+
+    node.mac.recv_callback = receive
+    return node, accepted
+
+
 def broadcast_packet():
     return Packet(
         ptype=PacketType.CBR,
         size=1000,
         ip=IpHeader(src=0, dst=BROADCAST),
         mac=MacHeader(src=0, dst=BROADCAST),
+        headers={"udp": UdpHeader(seqno=5)},
         meta={"note": "original"},
     )
 
 
 def test_receivers_get_independent_copies(env, channel):
-    """MACs that accept one broadcast pass up packets that do not alias."""
+    """Stacks that accept one broadcast read the one frame the channel
+    froze for it; a node that forwards the frame sends its own clone, so
+    editing the forwarded packet reaches neither the frame the other
+    receivers hold nor the sender's packet."""
     tx = make_phy(env, channel, 0.0)
     got1 = accepting_mac(env, channel, 1, 100.0)
-    got2 = accepting_mac(env, channel, 2, 150.0)
+    relay, got2 = flooding_node(env, channel, 2, 150.0)
     pkt = broadcast_packet()
     tx.transmit(pkt, duration=0.004)
     env.run()
     (first,), (second,) = got1, got2
-    assert first is not second
     assert first is not pkt and second is not pkt
+    if FASTPATH:  # the reference loop copies per receiver
+        assert first is second
     assert first.uid == second.uid == pkt.uid
-    first.ip.ttl = 1
-    first.mac.dst = 7
-    first.meta["note"] = "edited"
-    for other in (second, pkt):
-        assert other.ip.ttl == 32
-        assert other.mac.dst == BROADCAST
+    assert len(relay.ifq) == 1
+    forwarded = relay.ifq.get().value
+    assert forwarded is not second and forwarded.uid == pkt.uid
+    assert (forwarded.ip.ttl, forwarded.num_forwards) == (31, 1)
+    assert (forwarded.mac.src, forwarded.mac.dst) == (2, BROADCAST)
+    forwarded.ip.ttl = 1
+    forwarded.mac.dst = 7
+    forwarded.meta["note"] = "edited"
+    forwarded.header("udp").seqno = 9
+    for other in (first, second, pkt):
+        assert (other.ip.ttl, other.num_forwards) == (32, 0)
+        assert (other.mac.src, other.mac.dst) == (0, BROADCAST)
         assert other.meta == {"note": "original"}
+        assert other.header("udp").seqno == 5
 
 
 def test_sender_edits_after_transmit_do_not_reach_receivers(env, channel):
