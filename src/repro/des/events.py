@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.des.exceptions import SimulationError
-from repro.perf.fastpath import FASTPATH
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.core import Environment
@@ -35,11 +34,10 @@ class Event:
         The environment the event belongs to.
     """
 
-    if FASTPATH:
-        # Events are the most-allocated objects in a run; a fixed slot
-        # layout removes the per-instance __dict__.  Subclasses that add
-        # attributes declare their own __slots__ (or fall back to a dict).
-        __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
+    # Events are the most-allocated objects in a run; a fixed slot
+    # layout removes the per-instance __dict__.  Subclasses that add
+    # attributes declare their own __slots__ (or fall back to a dict).
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -122,8 +120,7 @@ class Timeout(Event):
     subclass) from :meth:`Environment.schedule`.
     """
 
-    if FASTPATH:
-        __slots__ = ("_delay",)
+    __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         # Timeouts are the single most-allocated event type (every AIFS
@@ -147,8 +144,7 @@ class Timeout(Event):
 class Initialize(Event):
     """Internal event that starts a :class:`~repro.des.process.Process`."""
 
-    if FASTPATH:
-        __slots__ = ()
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: Any) -> None:
         super().__init__(env)
@@ -161,8 +157,7 @@ class Initialize(Event):
 class Interruption(Event):
     """Internal urgent event delivering an interrupt to a process."""
 
-    if FASTPATH:
-        __slots__ = ("_process",)
+    __slots__ = ("_process",)
 
     def __init__(self, process: Any, cause: Any) -> None:
         from repro.des.exceptions import Interrupt
@@ -195,8 +190,7 @@ class Interruption(Event):
 class Condition(Event):
     """Composite event over several sub-events (``&`` / ``|``)."""
 
-    if FASTPATH:
-        __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_evaluate", "_events", "_count")
 
     def __init__(
         self,
@@ -252,8 +246,7 @@ class Condition(Event):
 class AllOf(Condition):
     """Condition that fires once all of ``events`` have fired."""
 
-    if FASTPATH:
-        __slots__ = ()
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable["Event"]) -> None:
         super().__init__(env, Condition.all_events, events)
@@ -262,8 +255,7 @@ class AllOf(Condition):
 class AnyOf(Condition):
     """Condition that fires once any of ``events`` has fired."""
 
-    if FASTPATH:
-        __slots__ = ()
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable["Event"]) -> None:
         super().__init__(env, Condition.any_events, events)
@@ -272,9 +264,9 @@ class AnyOf(Condition):
 class DeferredCall(Event):
     """Run ``fn`` after ``delay`` seconds, mimicking a one-yield process.
 
-    The fast path uses this in place of ``env.process(one_yield_gen())``
-    for fire-and-forget work (the phy's transmit-done notification).  A
-    generator process costs three heap events — :class:`Initialize`, the
+    Fire-and-forget work (the phy's transmit-done notification) uses
+    this in place of ``env.process(one_yield_gen())``.  A generator
+    process costs three heap events — :class:`Initialize`, the
     :class:`Timeout` it yields, and the process's own completion event;
     this costs two and no generator frame.
 
@@ -290,8 +282,7 @@ class DeferredCall(Event):
     therefore cannot affect the relative order of any other events.
     """
 
-    if FASTPATH:
-        __slots__ = ("_fn", "_delay")
+    __slots__ = ("_fn", "_delay")
 
     def __init__(
         self, env: "Environment", delay: float, fn: Callable[[], None]
@@ -337,8 +328,7 @@ class DeferredBatch(Event):
     callbacks).
     """
 
-    if FASTPATH:
-        __slots__ = ("_items",)
+    __slots__ = ("_items",)
 
     def __init__(
         self,

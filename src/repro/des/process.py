@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.des.events import Event, Initialize, Interruption, _PENDING
 from repro.des.exceptions import SimulationError
-from repro.perf.fastpath import FASTPATH
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -23,8 +22,7 @@ class Process(Event):
     its :attr:`value` is the generator's return value.
     """
 
-    if FASTPATH:
-        __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator) -> None:
         if not hasattr(generator, "throw"):

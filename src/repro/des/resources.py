@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.des.events import Event
-from repro.perf.fastpath import FASTPATH
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -35,8 +34,7 @@ class _BaseRequest(Event):
     req: yield req`` releases automatically.
     """
 
-    if FASTPATH:
-        __slots__ = ("resource",)
+    __slots__ = ("resource",)
 
     def __init__(self, resource: Any) -> None:
         super().__init__(resource.env)
@@ -56,8 +54,7 @@ class _BaseRequest(Event):
 class ResourceRequest(_BaseRequest):
     """Request for one slot of a :class:`Resource`."""
 
-    if FASTPATH:
-        __slots__ = ()
+    __slots__ = ()
 
     def cancel(self) -> None:
         if self.triggered:
@@ -181,8 +178,7 @@ class Container:
 class StorePut(_BaseRequest):
     """Request to insert an item into a :class:`Store`."""
 
-    if FASTPATH:
-        __slots__ = ("item",)
+    __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
         super().__init__(store)
@@ -199,8 +195,7 @@ class StorePut(_BaseRequest):
 class StoreGet(_BaseRequest):
     """Request to remove an item from a :class:`Store`."""
 
-    if FASTPATH:
-        __slots__ = ()
+    __slots__ = ()
 
     def cancel(self) -> None:
         if not self.triggered:
@@ -269,8 +264,7 @@ class Store:
 class FilterStoreGet(StoreGet):
     """Get request carrying an item-selection predicate."""
 
-    if FASTPATH:
-        __slots__ = ("predicate",)
+    __slots__ = ("predicate",)
 
     def __init__(
         self, store: "FilterStore", predicate: Callable[[Any], bool]

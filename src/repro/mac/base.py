@@ -136,10 +136,10 @@ class Mac:
         return time + (PLCP_OVERHEAD if plcp else 0.0)
 
     def _deliver_up(self, pkt: Packet) -> None:
-        # On the fast path every radio that heard the transmission holds
-        # this same frame, and it goes up uncopied: the stack above only
-        # reads it, and the routing layer clones it (Packet._clone) before
-        # it edits or forwards it (see repro.routing.base).
+        # Every radio that heard the transmission holds this same frame,
+        # and it goes up uncopied: the stack above only reads it, and the
+        # routing layer clones it (Packet._clone) before it edits or
+        # forwards it (see repro.routing.base).
         self.stats.data_received += 1
         self._obs_rx.inc()
         if self.trace_callback is not None:

@@ -17,7 +17,6 @@ from repro.des.events import DeferredBatch
 from repro.net import packet as packet_module
 from repro.net.packet import Packet
 from repro.obs import api as obs
-from repro.perf.fastpath import FASTPATH
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel, TwoRayGround
 from repro.phy.radio import WirelessPhy
 from repro.sanitizer import api as san
@@ -52,7 +51,7 @@ class WirelessChannel:
         self.degraded_losses = 0
         self._obs_tx = obs.counter("channel.transmissions")
         self._obs_degraded = obs.counter("channel.degraded_losses")
-        #: Fast path: per sender, a per-receiver map of the last
+        #: Per sender, a per-receiver map of the last
         #: ``(sender_pos, receiver_pos, tx_power, distance, rx_power)``.
         #: Platoon geometry is static or slowly moving, so consecutive
         #: transmissions usually see identical positions; a position or
@@ -127,77 +126,24 @@ class WirelessChannel:
         self._loss_rng = None
 
     def transmit(self, sender: WirelessPhy, pkt: Packet, duration: float) -> None:
-        """Offer ``pkt`` from ``sender`` to every other attached radio."""
+        """Offer ``pkt`` from ``sender`` to every other attached radio.
+
+        Every receiver in range gets the same copy of ``pkt``, made here
+        so the sender's edits between attempts (retry count, NAV
+        duration, rate) cannot reach a frame still on the air.  Nothing
+        writes to it afterwards: :meth:`repro.mac.base.Mac._deliver_up`
+        passes it up as it is, and a routing layer forwards its own
+        ``_clone`` (see :mod:`repro.routing.base`).  Each delivery still
+        draws one uid that no packet takes: the golden trace digests
+        cover uids, and they were pinned when each receiver's own copy
+        drew one.  The deliveries share one trampoline stage
+        (:class:`~repro.des.events.DeferredBatch`), which keeps their
+        event order.
+        """
         if not sender.up:
             return
         self.transmissions += 1
         self._obs_tx.inc()
-        if FASTPATH:
-            self._transmit_fast(sender, pkt, duration)
-            return
-        params = sender.params
-        blocked = self._blocked
-        ledger = self._ledger
-        for receiver in self._phys:
-            if receiver is sender:
-                continue
-            if blocked and (sender, receiver) in blocked:
-                if ledger is not None:
-                    ledger.note(pkt, "link-blocked", self.env.now)
-                continue
-            distance = sender.distance_to(receiver)
-            power = self.propagation.rx_power(
-                sender.tx_power,
-                distance,
-                params.wavelength,
-                tx_gain=params.tx_gain,
-                rx_gain=receiver.params.rx_gain,
-                tx_height=params.antenna_height,
-                rx_height=receiver.params.antenna_height,
-                system_loss=params.system_loss,
-            )
-            if power < receiver.params.cs_threshold:
-                if ledger is not None:
-                    ledger.note(pkt, "out-of-range", self.env.now)
-                continue
-            if (
-                self._loss_rng is not None
-                and self._loss_rng.random() < self.loss_rate
-            ):
-                self.degraded_losses += 1
-                self._obs_degraded.inc()
-                if ledger is not None:
-                    ledger.note(pkt, "degraded", self.env.now)
-                continue
-            delay = distance / SPEED_OF_LIGHT
-            self.env.process(
-                self._deliver(
-                    receiver,
-                    pkt.copy(keep_uid=True),
-                    power,
-                    duration,
-                    delay,
-                    distance,
-                )
-            )
-
-    def _transmit_fast(
-        self, sender: WirelessPhy, pkt: Packet, duration: float
-    ) -> None:
-        """Fast-path fan-out: cached link budgets, one shared frame.
-
-        Observably identical to the reference loop in :meth:`transmit`:
-        the same receivers get the same power at the same simulated time,
-        in the same event order (see
-        :class:`~repro.des.events.DeferredBatch`).  Every receiver gets
-        the same copy of ``pkt``, made here so the sender's edits between
-        attempts (retry count, NAV duration, rate) cannot reach a frame
-        still on the air.  Nothing writes to it afterwards:
-        :meth:`repro.mac.base.Mac._deliver_up` passes it up as it is, and
-        a routing layer forwards its own ``_clone`` (see
-        :mod:`repro.routing.base`).  Each delivery still draws one uid, as
-        the reference loop's per-receiver ``copy(keep_uid=True)`` does.
-        """
         env = self.env
         params = sender.params
         blocked = self._blocked
@@ -234,9 +180,9 @@ class WirelessChannel:
                 distance = entry[3]
                 power = entry[4]
             else:
-                # hypot, not sqrt(dx²+dy²): the reference path uses
-                # Phy.distance_to (math.hypot) and the two can differ in
-                # the last ulp, which the equivalence gate would catch.
+                # hypot, not sqrt(dx²+dy²): the two can differ in the
+                # last ulp, and every pinned trace digest was made with
+                # hypot.
                 distance = hypot(
                     receiver_pos[0] - sender_pos[0],
                     receiver_pos[1] - sender_pos[1],
@@ -278,18 +224,6 @@ class WirelessChannel:
             )
         if deliveries:
             DeferredBatch(env, deliveries)
-
-    def _deliver(
-        self,
-        receiver: WirelessPhy,
-        pkt: Packet,
-        power: float,
-        duration: float,
-        delay: float,
-        distance: float,
-    ):
-        yield self.env.timeout(delay)
-        receiver.begin_receive(pkt, power, duration, distance=distance)
 
 
 class _Delivery:

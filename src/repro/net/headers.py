@@ -5,6 +5,9 @@ well-known key (``pkt.headers["tcp"]`` etc.), mirroring ns-2's packet header
 stack.  Header *wire sizes* (bytes added to the packet's byte count) are
 declared as class attributes so transport/MAC layers can account for
 overhead consistently.
+
+Headers are copied once per transmission and once per forwarded packet,
+so they are slotted dataclasses: no per-instance dict to allocate or copy.
 """
 
 from __future__ import annotations
@@ -12,15 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.addresses import Address, BROADCAST
-from repro.perf.fastpath import FASTPATH
-
-#: Headers are copied once per transmission and once per forwarded packet,
-#: so their memory layout is hot; slotted dataclasses drop the
-#: per-instance dict (reference mode keeps the plain layout).
-_slotted = dataclass(slots=True) if FASTPATH else dataclass
 
 
-@_slotted
+@dataclass(slots=True)
 class IpHeader:
     """Network-layer header (20 bytes on the wire)."""
 
@@ -33,7 +30,7 @@ class IpHeader:
     dport: int = 0
 
 
-@_slotted
+@dataclass(slots=True)
 class MacHeader:
     """Link-layer header filled in by the routing layer / MAC.
 
@@ -54,7 +51,7 @@ class MacHeader:
     retries: int = 0
 
 
-@_slotted
+@dataclass(slots=True)
 class TcpHeader:
     """Simplified one-way TCP header (ns-2 Agent/TCP style).
 
@@ -73,7 +70,7 @@ class TcpHeader:
     payload: int = 0
 
 
-@_slotted
+@dataclass(slots=True)
 class UdpHeader:
     """UDP header (8 bytes on the wire)."""
 
@@ -83,7 +80,7 @@ class UdpHeader:
     payload: int = 0
 
 
-@_slotted
+@dataclass(slots=True)
 class AodvHeader:
     """AODV control header (RFC 3561 field subset).
 
@@ -122,7 +119,7 @@ class AodvHeader:
         return base
 
 
-@_slotted
+@dataclass(slots=True)
 class EblHeader:
     """Extended-Brake-Lights application payload descriptor.
 
@@ -146,7 +143,7 @@ class EblHeader:
     ack: bool = False
 
 
-@_slotted
+@dataclass(slots=True)
 class DsdvHeader:
     """DSDV full/incremental dump header (baseline protocol)."""
 

@@ -17,7 +17,6 @@ from typing import Any
 
 from repro.net.addresses import Address, BROADCAST
 from repro.net.headers import IpHeader, MacHeader
-from repro.perf.fastpath import FASTPATH
 
 _uid_counter = itertools.count()
 
@@ -103,19 +102,18 @@ class PacketType(enum.Enum):
         return self in (PacketType.AODV, PacketType.DSDV)
 
 
-@(dataclass(slots=True) if FASTPATH else dataclass)
+@dataclass(slots=True)
 class Packet:
     """A single simulated packet.
 
     Attributes
     ----------
     uid:
-        Unique id within one scenario (fresh per packet object; copies
-        get new uids unless copied via :meth:`copy` with
-        ``keep_uid=True``).  The wireless channel hands every receiver of
-        a transmission the same frame, and a routing layer forwards its
-        own copy of a frame it received; all of these share the sender's
-        uid.
+        Unique id within one scenario, drawn when the packet is
+        constructed.  The wireless channel hands every receiver of a
+        transmission the same frame, and a routing layer forwards its
+        own copy of a frame it received (:meth:`_clone`); all of these
+        share the sender's uid.
     ptype:
         Coarse packet class for tracing/queueing.
     size:
@@ -167,37 +165,15 @@ class Packet:
         """Return the named protocol header, raising KeyError if absent."""
         return self.headers[name]
 
-    def copy(self, keep_uid: bool = False) -> "Packet":
-        """Copy this packet with independent headers (fresh uid unless
-        ``keep_uid``).
-
-        The reference channel loop hands an independent copy to every
-        receiver so per-hop mutations (TTL, MAC header) cannot alias.
-        Headers are duplicated via compiled per-class copiers rather than
-        ``deepcopy``.  Every copy draws one uid, even with ``keep_uid``.
-        """
-        dup = Packet(
-            ptype=self.ptype,
-            size=self.size,
-            ip=_dup_header(self.ip),
-            mac=_dup_header(self.mac),
-            headers={k: _dup_header(v) for k, v in self.headers.items()},
-            timestamp=self.timestamp,
-            num_forwards=self.num_forwards,
-            meta=dict(self.meta),
-        )
-        if keep_uid:
-            dup.uid = self.uid
-        return dup
-
     def _clone(self) -> "Packet":
         """Copy with independent headers and the same uid, drawing none.
 
         The channel's one frame per transmission and a routing layer's
         copy of a received packet it forwards are made this way: neither
-        is a new packet.  The channel advances the uid sequence once per
-        delivery instead, exactly as the reference loop's per-receiver
-        :meth:`copy` calls advance it.
+        is a new packet.  Headers are duplicated via compiled per-class
+        copiers rather than ``deepcopy``, so per-hop edits (TTL, MAC
+        header) cannot alias.  The channel still draws one uid per
+        delivery itself (:meth:`repro.net.channel.WirelessChannel.transmit`).
         """
         dup = Packet.__new__(Packet)
         dup.ptype = self.ptype

@@ -4,12 +4,11 @@ Two views of one trial, both JSON-serialisable and bit-exact:
 
 * :func:`metrics_summary` — the paper-facing numbers (per-flow delays,
   throughput samples, steady-state levels).  Golden regression tests
-  snapshot this; the differential-equivalence tests require it to be
-  identical between the optimized fast path and ``REPRO_NO_FASTPATH=1``.
-* :func:`trace_digest` — a SHA-256 over every packet-trace record plus
-  the metric payload.  One short string that moves across process
-  boundaries (the reference run executes in a subprocess because the
-  fast-path flag is baked in at import time).
+  snapshot this for the three paper trials.
+* :func:`trace_digest` — a SHA-256 over every packet-trace record, uids
+  included, plus the metric payload.  One short string that can be
+  pinned in a fixture (the paper trials and the golden config matrix)
+  and compared across process boundaries (the fresh-interpreter test).
 
 Floats are serialised with :func:`repr`, which round-trips exactly: a
 single ulp of drift anywhere in the event stream changes the digest.

@@ -20,9 +20,9 @@ class PropagationModel:
     """Base class for propagation models."""
 
     #: True when ``rx_power`` is a pure function of its arguments.  The
-    #: channel's fast-path link cache only memoises deterministic models —
-    #: caching a stochastic model would skip its per-call RNG draws and
-    #: change the random stream.  Stochastic subclasses must override this.
+    #: channel's link cache only memoises deterministic models — caching
+    #: a stochastic model would skip its per-call RNG draws and change
+    #: the random stream.  Stochastic subclasses must override this.
     deterministic = True
 
     def rx_power(

@@ -7,14 +7,12 @@ collisions and power capture, and exposes carrier-sense state to the MAC.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.des.events import DeferredCall, Event, Timeout
 from repro.net.packet import Packet
 from repro.obs import api as obs
-from repro.perf.fastpath import FASTPATH
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel, TwoRayGround
 from repro.sanitizer import api as san
 
@@ -87,13 +85,13 @@ class RadioParams:
         return self.rx_threshold * factor
 
 
-@(dataclass(slots=True) if FASTPATH else dataclass)
+@dataclass(slots=True)
 class _Signal:
     """One signal currently on the air at this receiver.
 
-    On the fast path, :meth:`retire` is the callback of the event that
-    ends it: a bound method of a slotted object costs less memory per
-    signal than a closure.
+    :meth:`retire` is the callback of the event that ends it: a bound
+    method of a slotted object costs less memory per signal than a
+    closure.
     """
 
     pkt: Packet
@@ -152,10 +150,6 @@ class WirelessPhy:
         #: transmit/receive airtime.
         self.energy = None
         self._signals: list[_Signal] = []
-        #: Fast path: ``(time, position)`` memo for :attr:`position`.
-        #: Mobility models are functional — ``position(t)`` has no side
-        #: effects — so within one timestep the answer cannot change.
-        self._pos_memo: Optional[tuple[float, tuple[float, float]]] = None
         self._current: Optional[_Signal] = None
         self._tx_end_time = 0.0
         self._idle_waiters: list[Event] = []
@@ -192,20 +186,7 @@ class WirelessPhy:
     @property
     def position(self) -> tuple[float, float]:
         """Current antenna position (metres)."""
-        if FASTPATH:
-            memo = self._pos_memo
-            now = self.env.now
-            if memo is not None and memo[0] == now:
-                return memo[1]
-            pos = self.position_fn()
-            self._pos_memo = (now, pos)
-            return pos
         return self.position_fn()
-
-    def distance_to(self, other: "WirelessPhy") -> float:
-        """Euclidean distance to another phy, metres."""
-        (x1, y1), (x2, y2) = self.position, other.position
-        return math.hypot(x2 - x1, y2 - y1)
 
     # -- fault state ---------------------------------------------------------
 
@@ -302,14 +283,7 @@ class WirelessPhy:
         # trampoline: right after this returns, the MAC schedules its own
         # Timeout(duration) for the same instant, and a direct schedule
         # here would swap the two.
-        if FASTPATH:
-            DeferredCall(self.env, duration, self._notify_if_idle)
-        else:
-            self.env.process(self._tx_done(duration))
-
-    def _tx_done(self, duration: float):
-        yield self.env.timeout(duration)
-        self._notify_if_idle()
+        DeferredCall(self.env, duration, self._notify_if_idle)
 
     # -- receive -----------------------------------------------------------------
 
@@ -342,14 +316,11 @@ class WirelessPhy:
             self._classify_sinr(signal)
         else:
             self._classify(signal)
-        if FASTPATH:
-            # Scheduled directly, not through a DeferredCall: nothing runs
-            # between here and where the trampoline's first stage would
-            # schedule it, so every tie keeps its order (docs/PERFORMANCE.md,
-            # "One frame per transmission").
-            Timeout(self.env, duration).callbacks.append(signal.retire)
-        else:
-            self.env.process(self._signal_lifetime(signal))
+        # Scheduled directly, not through a DeferredCall: nothing runs
+        # between here and where the trampoline's first stage would
+        # schedule it, so every tie keeps its order (docs/PERFORMANCE.md,
+        # "One frame per transmission").
+        Timeout(self.env, duration).callbacks.append(signal.retire)
 
     def _interference_for(self, signal: _Signal) -> float:
         """Noise floor plus the power of every *other* signal on the air."""
@@ -441,10 +412,6 @@ class WirelessPhy:
             if ledger is not None:
                 ledger.note(current.pkt, "collision", self.env.now)
                 ledger.note(signal.pkt, "collision", self.env.now)
-
-    def _signal_lifetime(self, signal: _Signal):
-        yield self.env.timeout(signal.duration)
-        self._end_signal(signal)
 
     def _end_signal(self, signal: _Signal) -> None:
         """Retire ``signal`` when its last bit leaves the air."""

@@ -5,12 +5,12 @@ next hops for locally originated packets (:meth:`route_packet`), processes
 every packet the MAC delivers (:meth:`handle_packet` — local delivery,
 forwarding, or protocol control), and reacts to link-layer feedback.
 
-A packet the MAC delivers is read-only.  On the fast path it is the one
-frame every radio in range of the transmission shares, so a protocol
-that changes a received packet or sends it back down (TTL, hop count,
-``num_forwards``, and the MAC header that :meth:`Node.enqueue_to_mac`
-fills in) first takes its own copy with ``pkt._clone()``, after every
-check that can drop the packet.  The clone keeps the uid and draws none.
+A packet the MAC delivers is read-only.  It is the one frame every
+radio in range of the transmission shares, so a protocol that changes a
+received packet or sends it back down (TTL, hop count, ``num_forwards``,
+and the MAC header that :meth:`Node.enqueue_to_mac` fills in) first
+takes its own copy with ``pkt._clone()``, after every check that can
+drop the packet.  The clone keeps the uid and draws none.
 """
 
 from __future__ import annotations

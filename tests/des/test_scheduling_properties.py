@@ -1,8 +1,8 @@
 """Seeded property tests for kernel ordering and validation invariants.
 
 Complements ``test_properties.py`` (time monotonicity, store
-conservation) with the ordering guarantees the differential-equivalence
-gate leans on: same-time events fire in (priority, insertion) order,
+conservation) with the ordering guarantees the pinned trace digests
+lean on: same-time events fire in (priority, insertion) order,
 composite conditions trigger per their semantics, and invalid delays are
 rejected regardless of value.
 """

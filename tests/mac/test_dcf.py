@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment
+from repro.des.events import DeferredCall
 from repro.mac.base import PLCP_OVERHEAD
 from repro.mac.dcf import Dcf80211Mac, DcfParams
 from repro.mac.edca import EdcaMac
@@ -114,7 +115,7 @@ def test_duplicate_filtering_keeps_single_delivery(env, pair):
             # Pretend to transmit without reaching the channel.
             b.phy._tx_end_time = env.now + duration
             b.phy.busy_epoch += 1
-            env.process(b.phy._tx_done(duration))
+            DeferredCall(env, duration, b.phy._notify_if_idle)
             return
         original(pkt, duration)
 

@@ -110,8 +110,9 @@ def test_high_rate_frame_undecodable_at_range():
     slow = Packet(ptype=PacketType.CBR, size=1000,
                   ip=IpHeader(src=0, dst=1), mac=MacHeader(src=0, dst=1))
     slow.meta["phy_rate"] = 2e6
-    fast = slow.copy()
-    fast.meta["phy_rate"] = 11e6
+    fast = Packet(ptype=PacketType.CBR, size=1000,
+                  ip=IpHeader(src=0, dst=1), mac=MacHeader(src=0, dst=1),
+                  meta={"phy_rate": 11e6})
     tx.transmit(slow, 0.004)
     env.run()
 

@@ -83,19 +83,9 @@ def test_packet_repr_is_informative():
 # -- copy semantics ----------------------------------------------------------------
 
 
-def test_copy_gets_fresh_uid_by_default():
-    pkt = make_packet()
-    assert pkt.copy().uid != pkt.uid
-
-
-def test_copy_keep_uid():
-    pkt = make_packet()
-    assert pkt.copy(keep_uid=True).uid == pkt.uid
-
-
 def test_copy_is_deep_for_headers():
     pkt = make_packet(headers={"tcp": TcpHeader(seqno=1)})
-    dup = pkt.copy()
+    dup = pkt._clone()
     dup.header("tcp").seqno = 99
     dup.ip.ttl = 1
     dup.mac.dst = 42
@@ -107,7 +97,7 @@ def test_copy_is_deep_for_headers():
 def test_copy_preserves_timestamp_and_forward_count():
     pkt = make_packet(timestamp=1.5)
     pkt.num_forwards = 3
-    dup = pkt.copy()
+    dup = pkt._clone()
     assert dup.timestamp == 1.5
     assert dup.num_forwards == 3
 

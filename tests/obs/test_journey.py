@@ -160,14 +160,13 @@ class TestJourneyTracker:
     def test_channel_copies_share_one_journey(self):
         # Receivers see copies that keep the sender's uid: the frame the
         # channel shares per transmission, which the stack above each
-        # receiver reads, the copy a routing layer makes to forward it,
-        # and the reference loop's Packet.copy(keep_uid=True) per
-        # receiver.  All receiver-side hops must land on the sender's
-        # journey.
+        # receiver reads, and the copy a routing layer makes to forward
+        # it, both made by Packet._clone.  All receiver-side hops must
+        # land on the sender's journey.
         tracker = JourneyTracker()
         pkt = data_packet()
         tracker.record("s", 0.0, 0, "MAC", pkt)
-        clone = pkt.copy(keep_uid=True)
+        clone = pkt._clone()
         tracker.record("r", 0.1, 1, "MAC", clone)
         assert len(tracker) == 1
         assert len(tracker.journey(pkt.uid).hops) == 2
@@ -221,6 +220,7 @@ class TestJourneyOrderingUnderDcfRetransmission:
         """Two DCF MACs; the receiver's first ACK is suppressed so the
         sender retries a frame that was in fact delivered."""
         from tests.mac.test_dcf import build_mac, collect, data_packet as dp
+        from repro.des.events import DeferredCall
         from repro.net.channel import WirelessChannel
 
         channel = WirelessChannel(env)
@@ -244,7 +244,7 @@ class TestJourneyOrderingUnderDcfRetransmission:
                 dropped.append(pkt)
                 b.phy._tx_end_time = env.now + duration
                 b.phy.busy_epoch += 1
-                env.process(b.phy._tx_done(duration))
+                DeferredCall(env, duration, b.phy._notify_if_idle)
                 return
             original(pkt, duration)
 

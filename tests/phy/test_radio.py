@@ -14,7 +14,6 @@ from repro.net.headers import IpHeader, MacHeader, UdpHeader
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import DropTailQueue
-from repro.perf.fastpath import FASTPATH
 from repro.phy.radio import WirelessPhy
 from repro.routing.flooding import Flooding
 
@@ -282,9 +281,7 @@ def test_receivers_get_independent_copies(env, channel):
     tx.transmit(pkt, duration=0.004)
     env.run()
     (first,), (second,) = got1, got2
-    assert first is not pkt and second is not pkt
-    if FASTPATH:  # the reference loop copies per receiver
-        assert first is second
+    assert first is not pkt and first is second
     assert first.uid == second.uid == pkt.uid
     assert len(relay.ifq) == 1
     forwarded = relay.ifq.get().value
@@ -319,7 +316,6 @@ def test_sender_edits_after_transmit_do_not_reach_receivers(env, channel):
     assert "phy_rate" not in got.meta
 
 
-@pytest.mark.skipif(not FASTPATH, reason="the reference loop copies per receiver")
 def test_receivers_of_one_transmission_share_one_frame(env, channel):
     tx = make_phy(env, channel, 0.0)
     receivers = [make_phy(env, channel, x) for x in (100.0, 150.0, 200.0)]
@@ -339,7 +335,7 @@ def test_one_transmission_costs_two_events_per_receiver(
     """Offering one frame to k accepting radios processes 2k + 3 kernel
     events (a DeferredBatch stage, k deliveries, k retirements and the
     two-stage transmit-done trampoline) and draws exactly k uids, one
-    per delivery, as the reference loop's per-receiver copies do."""
+    per delivery."""
     tx = make_phy(env, channel, 0.0)
     accepted = [
         accepting_mac(env, channel, i + 1, 20.0 * (i + 1)) for i in range(k)
@@ -349,9 +345,7 @@ def test_one_transmission_costs_two_events_per_receiver(
     tx.transmit(pkt, duration=0.004)
     env.run()
     assert [len(frames) for frames in accepted] == [1] * k
-    # The reference mode runs each delivery, each retirement and the
-    # transmit-done notification as a three-event process.
-    assert env.events_processed == (2 * k + 3 if FASTPATH else 6 * k + 3)
+    assert env.events_processed == 2 * k + 3
     assert next(packet_module._uid_counter) == 1000 + k
 
 
