@@ -272,7 +272,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     )
     result = run_trial(config)
     obs = result.observability
-    assert obs is not None and obs.registry is not None  # config enables both
+    if obs is None or obs.registry is None:  # pragma: no cover - config enables it
+        raise RuntimeError("inspect run produced no metric registry")
     print(
         f"== inspect {config.name}: {config.packet_size}B over "
         f"{config.mac_type}, {config.duration:g}s simulated =="

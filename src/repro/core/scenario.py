@@ -37,6 +37,7 @@ from repro.net.channel import WirelessChannel
 from repro.net.node import Node
 from repro.net.packet import reset_uid_counter
 from repro.net.queues import DropTailQueue, PriQueue, REDQueue
+from repro.obs.probes import Probes
 from repro.obs.runtime import Observability
 from repro.phy.energy import EnergyModel
 from repro.phy.error_models import GilbertElliotErrorModel, UniformErrorModel
@@ -83,12 +84,6 @@ class EblScenario:
         )
         self.env.label = config.name
         self.tracer = Tracer() if config.enable_trace else None
-        # Observability is activated for the span of stack construction
-        # only: components bind their instruments as they are built (the
-        # channel below is instrumented too, hence activation comes
-        # first), and the ``finally`` guarantees no registry leaks into a
-        # later scenario built in the same process.  The sanitizer follows
-        # the identical lifecycle.
         self.observability = (
             Observability(config.observability, self.env)
             if config.observability is not None
@@ -99,27 +94,20 @@ class EblScenario:
             if config.sanitize is not None
             else None
         )
-        if self.observability is not None:
-            self.observability.activate()
-        if self.sanitizer is not None:
-            self.sanitizer.activate()
-        try:
-            self.channel = WirelessChannel(self.env)
-            # Scenario-level stream; components below derive their own named
-            # streams so no two instances ever share a sequence (see
-            # repro.core.seeding for the convention).
-            self._rng = derive_rng(config.seed, "scenario")
+        # Every component binds its instruments from the environment it is
+        # built with, the channel included, so the probes go on first.
+        self.env.probes = Probes(self.observability, self.sanitizer)
+        self.channel = WirelessChannel(self.env)
+        # Scenario-level stream; components below derive their own named
+        # streams so no two instances ever share a sequence (see
+        # repro.core.seeding for the convention).
+        self._rng = derive_rng(config.seed, "scenario")
 
-            self._build_platoons()
-            self._build_nodes()
-            self._build_applications()
-            self._schedule_movements()
-            self._build_faults(fault_schedule)
-        finally:
-            if self.sanitizer is not None:
-                self.sanitizer.deactivate()
-            if self.observability is not None:
-                self.observability.deactivate()
+        self._build_platoons()
+        self._build_nodes()
+        self._build_applications()
+        self._schedule_movements()
+        self._build_faults(fault_schedule)
 
     # -- construction ---------------------------------------------------------
 

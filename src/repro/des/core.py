@@ -12,6 +12,7 @@ from typing import Any, Iterable, Optional, Union
 from repro.des.events import AllOf, AnyOf, Event, Timeout, NORMAL
 from repro.des.exceptions import SchedulingError, SimulationError, StopSimulation
 from repro.des.process import Process, ProcessGenerator
+from repro.obs.probes import NULL_PROBES, Probes
 
 _INF = float("inf")
 
@@ -45,6 +46,11 @@ class Environment:
         #: :class:`SchedulingError` messages identify the failing run in
         #: campaign failure records without a rerun.
         self.label: Optional[str] = None
+        #: The instrumentation every component built on this environment
+        #: binds at construction (see :mod:`repro.obs.probes`).  The
+        #: scenario builder installs its own before building the stack;
+        #: a bare environment keeps the shared null probes.
+        self.probes: Probes = NULL_PROBES
         #: Span tracer installed by :meth:`_install_span_tracer` (None
         #: means the untraced fast path — :meth:`run` and :meth:`schedule`
         #: then do no tracing work at all).

@@ -19,13 +19,6 @@ from repro.des.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
 
-#: Audit hook installed by the runtime sanitizer (repro.sanitizer): when
-#: set, every constructed resource is reported to it so end-of-trial
-#: occupancy checks can find it.  A module-level callable rather than an
-#: import keeps the kernel free of upward dependencies; None (the
-#: default) costs one ``is not None`` test per construction.
-_AUDIT_HOOK: Optional[Callable[[Any], None]] = None
-
 
 class _BaseRequest(Event):
     """An event granted when the resource can serve the request.
@@ -76,8 +69,6 @@ class Resource:
         self.capacity = capacity
         self._users: list[ResourceRequest] = []
         self._waiting: list[ResourceRequest] = []
-        if _AUDIT_HOOK is not None:
-            _AUDIT_HOOK(self)
 
     @property
     def count(self) -> int:
@@ -129,8 +120,6 @@ class Container:
         self._level = float(init)
         self._putters: list[tuple[Event, float]] = []
         self._getters: list[tuple[Event, float]] = []
-        if _AUDIT_HOOK is not None:
-            _AUDIT_HOOK(self)
 
     @property
     def level(self) -> float:
@@ -216,8 +205,6 @@ class Store:
         self.items: list[Any] = []
         self._putters: list[StorePut] = []
         self._getters: list[StoreGet] = []
-        if _AUDIT_HOOK is not None:
-            _AUDIT_HOOK(self)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from repro.mac.base import PLCP_OVERHEAD
 from repro.mac.dcf import DcfParams
 from repro.mac.tdma import TdmaParams
@@ -107,6 +105,9 @@ class BianchiModel:
 
     def solve(self) -> tuple[float, float]:
         """Solve the (tau, p) fixed point; returns (tau, p)."""
+        # Imported here: scipy takes about a second to import.
+        from scipy import optimize
+
         n = self.n_stations
 
         def residual(p: float) -> float:

@@ -9,9 +9,7 @@ from repro.net.addresses import Address, BROADCAST
 from repro.net.headers import MacHeader
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
-from repro.obs import api as obs
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -60,10 +58,11 @@ class Mac:
         self.ifq = ifq
         phy.mac = self
         self.stats = MacStats()
-        self._obs_rx = obs.counter("mac.data.received")
-        self._obs_drops = obs.counter("mac.drops")
-        self.journeys = obs.journey_tracker()
-        self._ledger = san.packet_ledger()
+        probes = env.probes
+        self._obs_rx = probes.counter("mac.data.received")
+        self._obs_drops = probes.counter("mac.drops")
+        self.journeys = probes.journeys
+        self._ledger = probes.ledger
         self.recv_callback: Optional[Callable[[Packet], None]] = None
         self.link_failure_callback: Optional[Callable[[Packet], None]] = None
         self.link_success_callback: Optional[Callable[[Packet], None]] = None

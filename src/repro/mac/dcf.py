@@ -27,10 +27,8 @@ from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import DropTailQueue
 from repro.mac.base import Mac, PLCP_OVERHEAD
-from repro.obs import api as obs
 from repro.obs.registry import SLOT_EDGES
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -134,10 +132,11 @@ class Dcf80211Mac(Mac):
         self._countdown: Optional[tuple] = None
         #: (src, uid) of recently delivered unicast frames, for dedup.
         self._seen: dict[Address, int] = {}
-        self._obs_sent = obs.counter("mac.dcf.data_sent")
-        self._obs_retx = obs.counter("mac.dcf.retransmissions")
-        self._obs_backoff = obs.histogram("mac.dcf.backoff_slots", SLOT_EDGES)
-        self._san = san.dcf_monitor()
+        probes = env.probes
+        self._obs_sent = probes.counter("mac.dcf.data_sent")
+        self._obs_retx = probes.counter("mac.dcf.retransmissions")
+        self._obs_backoff = probes.histogram("mac.dcf.backoff_slots", SLOT_EDGES)
+        self._san = probes.dcf_monitor
 
     # -- carrier sense (physical + virtual) -----------------------------------
 

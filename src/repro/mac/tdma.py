@@ -25,9 +25,7 @@ from repro.net.headers import MacHeader
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.mac.base import Mac, PLCP_OVERHEAD
-from repro.obs import api as obs
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -75,9 +73,10 @@ class TdmaMac(Mac):
     ) -> None:
         super().__init__(env, address, phy, ifq)
         self.params = params or TdmaParams()
-        self._obs_sent = obs.counter("mac.tdma.data_sent")
-        self._obs_wait = obs.histogram("mac.tdma.access_wait")
-        self._san = san.tdma_monitor()
+        probes = env.probes
+        self._obs_sent = probes.counter("mac.tdma.data_sent")
+        self._obs_wait = probes.histogram("mac.tdma.access_wait")
+        self._san = probes.tdma_monitor
 
     # -- frame geometry ---------------------------------------------------------
 

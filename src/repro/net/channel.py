@@ -16,10 +16,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.des.events import DeferredBatch
 from repro.net import packet as packet_module
 from repro.net.packet import Packet
-from repro.obs import api as obs
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel, TwoRayGround
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -41,7 +39,7 @@ class WirelessChannel:
         #: value is an outage refcount: two overlapping outages on the
         #: same link must not resurrect it when the first one ends.
         self._blocked: dict[tuple[WirelessPhy, WirelessPhy], int] = {}
-        self._ledger = san.packet_ledger()
+        self._ledger = env.probes.ledger
         #: Channel-wide frame-loss probability in [0, 1) while degraded.
         self.loss_rate = 0.0
         self._loss_rng: Optional[random.Random] = None
@@ -49,8 +47,8 @@ class WirelessChannel:
         self.transmissions = 0
         #: Frames lost to an active channel-degradation window.
         self.degraded_losses = 0
-        self._obs_tx = obs.counter("channel.transmissions")
-        self._obs_degraded = obs.counter("channel.degraded_losses")
+        self._obs_tx = env.probes.counter("channel.transmissions")
+        self._obs_degraded = env.probes.counter("channel.degraded_losses")
         #: Per sender, a per-receiver map of the last
         #: ``(sender_pos, receiver_pos, tx_power, distance, rx_power)``.
         #: Platoon geometry is static or slowly moving, so consecutive

@@ -21,9 +21,7 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.mac.base import Mac
 from repro.mobility.base import MobilityModel
-from repro.obs import api as obs
 from repro.phy.radio import RadioParams, WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -52,10 +50,10 @@ class Node:
         self.env = env
         self.address = address
         self.mobility = mobility
-        self.tracer = tracer
-        self.journeys = obs.journey_tracker()
-        self.spans = obs.span_tracer()
-        self._ledger = san.packet_ledger()
+        #: Where every packet event goes: the tracer, then the packet
+        #: sinks of the scenario's probes (:class:`repro.obs.probes.Probes`).
+        sinks = env.probes.packet_sinks
+        self._sinks = sinks if tracer is None else (tracer, *sinks)
         self.phy = WirelessPhy(
             env,
             position_fn=lambda: mobility.position(env.now),
@@ -71,7 +69,7 @@ class Node:
         self.mac.recv_callback = self._recv_from_mac
         self.mac.link_failure_callback = self._link_failed
         self.mac.link_success_callback = self._link_ok
-        self.mac.trace_callback = self._trace_mac
+        self.mac.trace_callback = self._trace
         if use_arp:
             from repro.net.arp import ArpLayer
 
@@ -175,15 +173,6 @@ class Node:
         self.packets_dropped += 1
         self._trace("D", pkt, reason)
 
-    def _trace_mac(self, event: str, pkt: Packet, layer: str) -> None:
-        self._trace(event, pkt, layer)
-
     def _trace(self, event: str, pkt: Packet, layer: str) -> None:
-        if self.tracer is not None:
-            self.tracer.record(event, self.env.now, self.address, layer, pkt)
-        if self.journeys is not None:
-            self.journeys.record(event, self.env.now, self.address, layer, pkt)
-        if self.spans is not None:
-            self.spans.record_packet(event, layer, self.address, pkt)
-        if self._ledger is not None:
-            self._ledger.record(event, self.env.now, self.address, layer, pkt)
+        for sink in self._sinks:
+            sink.record(event, self.env.now, self.address, layer, pkt)

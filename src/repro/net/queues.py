@@ -15,9 +15,7 @@ import random
 
 from repro.des.events import Event
 from repro.net.packet import Packet
-from repro.obs import api as obs
 from repro.obs.registry import OCCUPANCY_EDGES
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -53,10 +51,11 @@ class DropTailQueue:
         self.enqueued = 0
         self.dropped = 0
         self.dequeued = 0
-        self._obs_enq = obs.counter("queue.enqueued")
-        self._obs_drop = obs.counter("queue.dropped")
-        self._obs_occ = obs.histogram("queue.occupancy", OCCUPANCY_EDGES)
-        self._san = san.queue_monitor()
+        probes = env.probes
+        self._obs_enq = probes.counter("queue.enqueued")
+        self._obs_drop = probes.counter("queue.dropped")
+        self._obs_occ = probes.histogram("queue.occupancy", OCCUPANCY_EDGES)
+        self._san = probes.queue_monitor
 
     def __len__(self) -> int:
         return len(self._items)

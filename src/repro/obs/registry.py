@@ -10,9 +10,10 @@ counts.  Nothing here touches the event loop, draws randomness, or reads
 the wall clock, which is what makes the differential-digest guarantee
 (observability on == observability off, bit for bit) possible.
 
-When no registry is active the :mod:`repro.obs.api` proxies hand out the
-shared null instruments below, whose update methods are no-ops — the
-disabled fast path costs one empty method call per instrumented event.
+When a scenario has no registry its probes (:mod:`repro.obs.probes`)
+hand out the shared null instruments below, whose update methods are
+no-ops — the disabled fast path costs one empty method call per
+instrumented event.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """Per-trial observability runtime: registry + journeys + introspector.
 
 :class:`Observability` is what a scenario owns when its trial config
-enables observability.  The scenario activates it around stack
-construction (so components bind live instruments), starts it when the
-simulation starts (so the heartbeat process joins the event loop), and
-hands it to :func:`repro.core.runner.harvest` for the trial summary.
+enables observability.  The scenario builds its probes from it before
+building the stack (so components bind live instruments, see
+:mod:`repro.obs.probes`), starts it when the simulation starts (so the
+heartbeat process joins the event loop), and hands it to
+:func:`repro.core.runner.harvest` for the trial summary.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.obs import api
 from repro.obs.config import ObservabilityConfig
 from repro.obs.introspect import RunIntrospector
 from repro.obs.journey import JourneyTracker
@@ -48,14 +48,6 @@ class Observability:
         if config.tracing:
             self.spans = SpanTracer(max_spans=config.max_spans)
             self.spans.install(env)
-
-    def activate(self) -> None:
-        """Install this runtime as the process-wide binding context."""
-        api.activate(self.registry, self.journeys, self.spans)
-
-    def deactivate(self) -> None:
-        """Clear the process-wide binding context."""
-        api.deactivate()
 
     def start(self) -> None:
         """Start the heartbeat process, if configured."""

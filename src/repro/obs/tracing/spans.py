@@ -133,6 +133,15 @@ class SpanTracer:
         if self._env is not None:
             self._env._uninstall_span_tracer()
 
+    def record(
+        self, event: str, time: float, node: int, layer: str, pkt: Any
+    ) -> None:
+        """Packet-sink entry point (see :mod:`repro.obs.probes`).
+
+        ``time`` goes unused: the executing span already carries it.
+        """
+        self.record_packet(event, layer, node, pkt)
+
     def record_packet(self, code: str, layer: str, node: int, pkt: Any) -> None:
         """Stitch a packet trace event onto the currently executing span.
 

@@ -12,9 +12,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.des.events import DeferredCall, Event, Timeout
 from repro.net.packet import Packet
-from repro.obs import api as obs
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel, TwoRayGround
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -168,7 +166,8 @@ class WirelessPhy:
         #: the radio only comes back up when every outstanding failure
         #: window has ended.
         self._down_count = 0
-        self._ledger = san.packet_ledger()
+        probes = env.probes
+        self._ledger = probes.ledger
         #: Transmit-power multiplier in (0, 1]; < 1 models a power droop.
         self.power_scale = 1.0
         #: Statistics.
@@ -176,10 +175,10 @@ class WirelessPhy:
         self.frames_received = 0
         self.frames_corrupted = 0
         self.frames_dropped_down = 0
-        self._obs_sent = obs.counter("phy.frames.sent")
-        self._obs_recv = obs.counter("phy.frames.received")
-        self._obs_corrupt = obs.counter("phy.frames.corrupted")
-        self._obs_dropped_down = obs.counter("phy.frames.dropped_down")
+        self._obs_sent = probes.counter("phy.frames.sent")
+        self._obs_recv = probes.counter("phy.frames.received")
+        self._obs_corrupt = probes.counter("phy.frames.corrupted")
+        self._obs_dropped_down = probes.counter("phy.frames.dropped_down")
 
     # -- geometry ------------------------------------------------------------
 

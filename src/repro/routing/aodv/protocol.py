@@ -9,7 +9,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.net.addresses import Address, BROADCAST
 from repro.net.headers import AodvHeader
 from repro.net.packet import Packet, PacketType
-from repro.obs import api as obs
 from repro.routing.aodv.config import AodvParams
 from repro.routing.aodv.messages import make_hello, make_rerr, make_rreq, make_rrep
 from repro.routing.base import RoutingProtocol
@@ -69,11 +68,12 @@ class Aodv(RoutingProtocol):
         self._rreq_order: deque[tuple[Address, int]] = deque()
         #: Last HELLO time per neighbour (when beaconing).
         self._neighbour_heard: dict[Address, float] = {}
-        self._obs_rreq = obs.counter("aodv.rreq.sent")
-        self._obs_rrep = obs.counter("aodv.rrep.sent")
-        self._obs_rerr = obs.counter("aodv.rerr.sent")
-        self._obs_disc = obs.counter("aodv.discoveries")
-        self._obs_disc_fail = obs.counter("aodv.discovery_failures")
+        probes = self.env.probes
+        self._obs_rreq = probes.counter("aodv.rreq.sent")
+        self._obs_rrep = probes.counter("aodv.rrep.sent")
+        self._obs_rerr = probes.counter("aodv.rerr.sent")
+        self._obs_disc = probes.counter("aodv.discoveries")
+        self._obs_disc_fail = probes.counter("aodv.discovery_failures")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -211,7 +211,12 @@ class Aodv(RoutingProtocol):
         if discovery is None:
             return
         route = self.table.lookup(dst, self.env.now)
-        if route is None:  # pragma: no cover - defensive
+        if route is None:
+            # The table kept its invalidated entry: the RREP's seqno is
+            # older than the one bumped when that route broke.  The
+            # buffered packets have no route, so they are dropped.
+            for pkt, _ in discovery.buffer:
+                self.node.drop(pkt, "NRTE")
             return
         for pkt, queued_at in discovery.buffer:
             if self.env.now - queued_at > self.params.buffer_timeout:

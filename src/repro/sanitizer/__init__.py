@@ -1,12 +1,12 @@
 """simsan: opt-in runtime invariant checking for the EBL simulator.
 
-The sanitizer mirrors the observability layer's null-instrument fast
-path (:mod:`repro.obs.api`): components bind their monitors once at
-construction time, and when no sanitizer is active those bindings are
-either ``None`` (per-trace-event paths, where an ``is not None`` test is
-cheapest) or shared null objects whose hook methods are no-ops.  With
-the sanitizer disabled a trial's trace digest is bit-identical to an
-uninstrumented run — the same differential guarantee the obs layer is
+Components bind their monitors and the conservation ledger once, at
+construction, from the scenario's probes (:mod:`repro.obs.probes`).
+With no sanitizer the ledger binding is ``None`` (it sits on the
+per-trace-event path, where an ``is not None`` test is cheapest) and
+every monitor is the shared null monitor, whose hook methods are no-ops.
+With the sanitizer disabled a trial's trace digest is bit-identical to
+an uninstrumented run — the same differential guarantee the obs layer is
 golden-tested against.
 
 Checker families (see docs/ROBUSTNESS.md):
@@ -16,12 +16,16 @@ Checker families (see docs/ROBUSTNESS.md):
   recorded loss (collision, fault outage, ...), or resident in a
   declared buffer at trial end.  Cross-validated against obs journeys.
 * **kernel** — event-heap pop monotonicity (strict mode), heap
-  integrity at trial end, no dead MAC service loops, resource/store
-  occupancy within declared capacity.
+  integrity at trial end, no dead MAC service loops, no orphaned
+  interface-queue waiters.
 * **protocols** — TCP seq/ack monotonicity, queue occupancy <= limit,
   AODV route entries never pointing at long-dead neighbours, TDMA
   slot-ownership exclusivity, 802.11 NAV/backoff non-negativity.
 """
+
+from repro.sanitizer.config import SanitizerConfig
+from repro.sanitizer.runtime import Sanitizer
+from repro.sanitizer.violations import InvariantViolation, SanitizerReport
 
 __all__ = [
     "SanitizerConfig",
@@ -29,28 +33,3 @@ __all__ = [
     "InvariantViolation",
     "SanitizerReport",
 ]
-
-#: Public name -> defining submodule, resolved lazily (PEP 562).  The
-#: instrumented hot-path modules (queues, radio, MAC, ...) import
-#: :mod:`repro.sanitizer.api` at module load; keeping this package init
-#: import-free breaks the cycle net -> sanitizer -> ledger -> obs ->
-#: net that an eager ``from .runtime import Sanitizer`` would create.
-_EXPORTS = {
-    "SanitizerConfig": "repro.sanitizer.config",
-    "Sanitizer": "repro.sanitizer.runtime",
-    "InvariantViolation": "repro.sanitizer.violations",
-    "SanitizerReport": "repro.sanitizer.violations",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

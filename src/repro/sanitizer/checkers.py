@@ -1,10 +1,11 @@
 """Live protocol monitors and end-of-trial invariant checkers.
 
-Monitors are bound by components at construction (through
-:mod:`repro.sanitizer.api`) and called from the simulation's hot paths;
-they only *read* simulation state — no RNG draws, no event scheduling —
-so enabling them cannot perturb a run.  The ``check_*`` functions run
-once, at :meth:`repro.sanitizer.runtime.Sanitizer.finalize`.
+Monitors are bound by components at construction (through the
+scenario's :class:`~repro.obs.probes.Probes`) and called from the
+simulation's hot paths; they only *read* simulation state — no RNG
+draws, no event scheduling — so enabling them cannot perturb a run.
+The ``check_*`` functions run once, at
+:meth:`repro.sanitizer.runtime.Sanitizer.finalize`.
 """
 
 from __future__ import annotations
@@ -225,13 +226,10 @@ class DcfMonitor:
 
 
 def check_kernel(
-    scenario: "EblScenario",
-    env: "Environment",
-    resources: list[Any],
-    emit: Emit,
+    scenario: "EblScenario", env: "Environment", emit: Emit
 ) -> None:
     """Kernel invariants at trial end: heap integrity, live service
-    loops, single-getter queues, resource occupancy within capacity."""
+    loops, single-getter queues."""
     now = env.now
     queue = env._queue
     for index, entry in enumerate(queue):
@@ -292,45 +290,18 @@ def check_kernel(
                     node=vehicle.address,
                 )
             )
-    for resource in resources:
-        occupancy, capacity = _occupancy(resource)
-        if occupancy is None or capacity is None:
-            continue
-        if occupancy > capacity or occupancy < 0:
-            emit(
-                InvariantViolation(
-                    checker="kernel-resource-occupancy",
-                    layer="kernel",
-                    message=(
-                        f"{type(resource).__name__} holds {occupancy} "
-                        f"with declared capacity {capacity}"
-                    ),
-                    time=now,
-                )
-            )
-
-
-def _occupancy(resource: Any) -> tuple[Any, Any]:
-    """(occupancy, capacity) for a des Resource/Container/Store."""
-    capacity = getattr(resource, "capacity", None)
-    if hasattr(resource, "_users"):  # Resource
-        return len(resource._users), capacity
-    if hasattr(resource, "_level"):  # Container
-        return resource._level, capacity
-    if hasattr(resource, "items"):  # Store / FilterStore
-        return len(resource.items), capacity
-    return None, None
 
 
 def check_routing(scenario: "EblScenario", emit: Emit) -> None:
-    """AODV route-table invariants at trial end.
+    """Route-table invariants at trial end (AODV and DSDV tables).
 
-    Structural checks always run.  The stale-route check — no usable
-    entry may point at a neighbour that has been crashed longer than the
-    protocol's detection horizon — only runs when the protocol actually
-    had the means to detect the death: HELLO beaconing enabled, or a MAC
-    that provides link-layer failure feedback.  (TDMA without HELLOs is
-    legitimately blind to silent neighbour death.)
+    Structural checks run on every table.  The stale-route check — no
+    usable entry may point at a neighbour that has been crashed longer
+    than the protocol's detection horizon — runs on AODV only, whose
+    route timeout and HELLO loss bound that horizon, and only when it
+    actually had the means to detect the death: HELLO beaconing enabled,
+    or a MAC that provides link-layer failure feedback.  (TDMA without
+    HELLOs is legitimately blind to silent neighbour death.)
     """
     env = scenario.env
     now = env.now
@@ -340,7 +311,7 @@ def check_routing(scenario: "EblScenario", emit: Emit) -> None:
         table = getattr(routing, "table", None)
         if table is None or not hasattr(table, "_entries"):
             continue
-        params = getattr(routing, "params", None)
+        params = routing.params if scenario.config.routing == "aodv" else None
         for dst, entry in table._entries.items():
             if entry.dst != dst:
                 emit(

@@ -1,9 +1,10 @@
 """Per-trial sanitizer runtime: ledger + monitors + finalize.
 
 :class:`Sanitizer` is what a scenario owns when its trial config enables
-sanitizing.  The scenario activates it around stack construction (so
-components bind live monitors), and :func:`repro.core.runner.harvest`
-calls :meth:`finalize` to run the end-of-trial checkers and collect the
+sanitizing.  The scenario builds its probes from it before building the
+stack (so components bind live monitors, see :mod:`repro.obs.probes`),
+and :func:`repro.core.runner.harvest` calls :meth:`finalize` to run the
+end-of-trial checkers and collect the
 :class:`~repro.sanitizer.violations.SanitizerReport`.
 """
 
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.des import resources as des_resources
-from repro.sanitizer import api
 from repro.sanitizer.checkers import (
     DcfMonitor,
     QueueMonitor,
@@ -56,7 +55,6 @@ class Sanitizer:
             self.tcp_mon = TcpMonitor(self.emit, env)
             self.tdma_mon = TdmaMonitor(self.emit, env)
             self.dcf_mon = DcfMonitor(self.emit, env)
-        self._resources: list[object] = []
         self._finalized = False
 
     # -- violation sink ----------------------------------------------------
@@ -70,19 +68,6 @@ class Sanitizer:
             return
         self.report.violations.append(violation)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def activate(self) -> None:
-        """Install this runtime as the process-wide binding context."""
-        api.activate(self)
-        if self.config.kernel:
-            des_resources._AUDIT_HOOK = self._resources.append
-
-    def deactivate(self) -> None:
-        """Clear the process-wide binding context."""
-        api.deactivate()
-        des_resources._AUDIT_HOOK = None
-
     # -- finalize ----------------------------------------------------------
 
     def finalize(self, scenario: "EblScenario") -> SanitizerReport:
@@ -91,7 +76,7 @@ class Sanitizer:
             return self.report
         self._finalized = True
         if self.config.kernel:
-            check_kernel(scenario, self.env, self._resources, self.emit)
+            check_kernel(scenario, self.env, self.emit)
         if self.config.protocols:
             check_routing(scenario, self.emit)
         if self.ledger is not None:

@@ -5,6 +5,9 @@ within X Mbps of the observed value, with a 95% confidence and a Y%
 relative precision".  :func:`mean_confidence_interval` computes exactly
 that triple (mean, half-width, relative precision) with a Student-t
 interval.
+
+scipy is imported inside the two functions that need a quantile: it
+takes about a second to import, and every trial imports this module.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ def mean_confidence_interval(
     values: Sequence[float], level: float = 0.95
 ) -> ConfidenceResult:
     """Student-t confidence interval for the mean of ``values``."""
+    from scipy import stats as scipy_stats
+
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
     n = len(values)
@@ -62,7 +65,7 @@ def mean_confidence_interval(
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std_err = math.sqrt(variance / n)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+    t_crit = float(scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
     return ConfidenceResult(
         mean=mean, half_width=t_crit * std_err, level=level, n=n
     )
@@ -76,6 +79,8 @@ def required_samples(
     Uses the normal approximation n ≈ (z·s / (r·mean))²; useful when
     planning longer runs for tighter intervals.
     """
+    from scipy import stats as scipy_stats
+
     if not 0 < target_relative_precision < 1:
         raise ValueError("target_relative_precision must be in (0, 1)")
     result = mean_confidence_interval(values, level)
@@ -83,7 +88,7 @@ def required_samples(
         raise ValueError("cannot target relative precision of a zero mean")
     n = len(values)
     variance = sum((v - result.mean) ** 2 for v in values) / (n - 1)
-    z = float(_scipy_stats.norm.ppf(0.5 + level / 2.0))
+    z = float(scipy_stats.norm.ppf(0.5 + level / 2.0))
     needed = (z * math.sqrt(variance) / (
         target_relative_precision * abs(result.mean)
     )) ** 2

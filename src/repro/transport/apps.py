@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.obs import api as obs
 from repro.transport.tcp import TcpAgent
 from repro.transport.udp import UdpAgent
 
@@ -62,7 +61,7 @@ class CbrApp:
         self.packet_size = packet_size
         self.interval = interval
         self.packets_generated = 0
-        self._obs_packets = obs.counter("app.cbr.packets")
+        self._obs_packets = self.env.probes.counter("app.cbr.packets")
         self._running = False
         self._stop_at: Optional[float] = None
 
@@ -148,7 +147,7 @@ class RetryingSender:
         self.send_fn = send_fn
         self.policy = policy or BackoffPolicy()
         self.attempts = 0
-        self._obs_attempts = obs.counter("app.retry.attempts")
+        self._obs_attempts = env.probes.counter("app.retry.attempts")
         self.acknowledged = False
         self.cancelled = False
         self.exhausted = False

@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.net.headers import IpHeader, TcpHeader
 from repro.net.packet import Packet, PacketType
-from repro.obs import api as obs
-from repro.sanitizer import api as san
 from repro.transport.agents import Agent
 from repro.transport.udp import ReceivedRecord
 
@@ -83,11 +81,12 @@ class TcpAgent(Agent):
         self.retransmits = 0
         self.timeouts = 0
         self.bytes_sent = 0
-        self._obs_sent = obs.counter("tcp.segments.sent")
-        self._obs_retx = obs.counter("tcp.retransmits")
-        self._obs_timeouts = obs.counter("tcp.timeouts")
-        self._obs_rtt = obs.histogram("tcp.rtt")
-        self._san = san.tcp_monitor()
+        probes = self.env.probes
+        self._obs_sent = probes.counter("tcp.segments.sent")
+        self._obs_retx = probes.counter("tcp.retransmits")
+        self._obs_timeouts = probes.counter("tcp.timeouts")
+        self._obs_rtt = probes.histogram("tcp.rtt")
+        self._san = probes.tcp_monitor
         #: True while the application allows transmission (start/stop gate).
         self.running = True
 
@@ -368,7 +367,7 @@ class TcpSink(Agent):
         self.records: list[ReceivedRecord] = []
         self._out_of_order: set[int] = set()
         self._ack_pending = False
-        self._san = san.tcp_monitor()
+        self._san = self.env.probes.tcp_monitor
 
     def receive(self, pkt: Packet) -> None:
         header: TcpHeader = pkt.header("tcp")

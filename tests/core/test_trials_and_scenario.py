@@ -228,3 +228,45 @@ def test_trial_digest_does_not_depend_on_earlier_packets():
     second = run_trial(config)
     assert trace_digest(second) == trace_digest(first)
     assert min(rec.uid for rec in second.tracer.records) == 0
+
+
+def test_scenarios_cannot_leak_probes_into_each_other():
+    """Each scenario's probes live on its own environment: a plain
+    scenario built right after a fully instrumented one binds none of its
+    instruments and runs exactly as it does with nothing built before."""
+    from repro.core.runner import harvest, run_trial
+    from repro.des.core import Environment
+    from repro.obs import ObservabilityConfig
+    from repro.obs.probes import NULL_MONITOR, NULL_PROBES
+    from repro.obs.registry import NULL_COUNTER
+    from repro.perf.equivalence import trace_digest
+    from repro.sanitizer import SanitizerConfig
+
+    config = TRIAL_3.with_overrides(duration=3.0, enable_trace=True)
+    alone = trace_digest(run_trial(config))
+    instrumented = EblScenario(
+        config.with_overrides(
+            observability=ObservabilityConfig(tracing=True),
+            sanitize=SanitizerConfig(),
+        )
+    )
+    assert len(instrumented.vehicles[0].node._sinks) == 4
+    plain = EblScenario(config)
+    assert plain.channel._ledger is None
+    assert plain.channel._obs_tx is NULL_COUNTER
+    for vehicle in plain.vehicles:
+        node = vehicle.node
+        assert node._sinks == (plain.tracer,)
+        assert node.phy._ledger is None
+        assert node.phy._obs_sent is NULL_COUNTER
+        assert node.ifq._obs_enq is NULL_COUNTER
+        assert node.ifq._san is NULL_MONITOR
+        assert node.mac.journeys is None and node.mac._ledger is None
+        assert node.mac._obs_rx is NULL_COUNTER
+        assert node.mac._san is NULL_MONITOR
+        assert node.routing._obs_rreq is NULL_COUNTER
+        for agent in node.agents.values():
+            assert getattr(agent, "_san", NULL_MONITOR) is NULL_MONITOR
+    plain.run()
+    assert trace_digest(harvest(plain)) == alone
+    assert Environment().probes is NULL_PROBES

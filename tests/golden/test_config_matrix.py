@@ -7,7 +7,9 @@ fault plan and a contention-heavy load, plus one TDMA and one CSMA
 point and three flood-heavy rows at 16 and 32 vehicles.  Each row is a
 short trial reduced to one SHA-256 over its packet trace and metrics
 (:func:`repro.perf.equivalence.trace_digest`), so an optimization that
-claims to change no behaviour must leave every digest as it is.
+claims to change no behaviour must leave every digest as it is.  Each
+row also runs once with every instrument on, and must keep its digest
+and pass the sanitizer: turning on instrumentation changes nothing.
 
 When a change is *intended* to alter results, regenerate the fixture and
 commit it with the change::
@@ -27,7 +29,9 @@ import pytest
 from repro.core.runner import run_trial
 from repro.core.trials import TrialConfig
 from repro.faults.schedule import FAULT_PLAN_PRESETS
+from repro.obs import ObservabilityConfig
 from repro.perf.equivalence import trace_digest
+from repro.sanitizer import SanitizerConfig
 
 FIXTURE = Path(__file__).resolve().parent / "config_matrix.json"
 
@@ -129,6 +133,23 @@ def test_trace_digest_matches_golden(name, request):
         f"{name} trace digest drifted from {FIXTURE.name}; if the change is "
         "intentional, regenerate with --update-golden and commit the diff"
     )
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_full_instrumentation_keeps_digest_and_sanitizer_clean(name):
+    config = MATRIX[name].with_overrides(
+        observability=ObservabilityConfig(
+            metrics=True, journeys=True, tracing=True
+        ),
+        sanitize=SanitizerConfig(),
+    )
+    result = run_trial(config)
+    assert trace_digest(result) == _golden()[name], (
+        f"{name}: turning on metrics, journeys, spans and the sanitizer "
+        "changed the trace digest"
+    )
+    report = result.sanitizer_report
+    assert report is not None and report.ok, report.render()
 
 
 def test_fixture_holds_exactly_the_matrix_rows():

@@ -7,6 +7,10 @@ digest committed in ``trial_digests.json``.  State left behind by earlier
 in-process work, and iteration order that follows string hashes or
 object addresses, would both show up here as a digest that differs from
 the pin or between the two seeds.
+
+The same subprocess reports whether running the trial imported scipy,
+which costs about a second of every interpreter's start and which no
+trial needs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.perf.equivalence import trace_digest
 
 config = TRIAL_1.with_overrides(duration=float(sys.argv[1]))
 print(trace_digest(run_trial(config)))
+print("scipy" in sys.modules)
 """
 
 
@@ -46,7 +51,9 @@ def test_fresh_interpreter_reproduces_pinned_digest(hash_seed):
         env=env,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == pinned_digests()["trial1"], (
+    digest, scipy_imported = result.stdout.split()
+    assert digest == pinned_digests()["trial1"], (
         f"trial1 in a fresh interpreter (PYTHONHASHSEED={hash_seed}) "
         "diverged from its pinned digest"
     )
+    assert scipy_imported == "False", "running a trial imported scipy"

@@ -1,10 +1,9 @@
 """Fixture: SIM008 (malformed metric name)."""
 
-from repro.obs import api as obs
-
 
 class Widget:
-    def __init__(self):
-        self.sent = obs.counter("Mac.DCF.Sent")  # SIM008: uppercase
-        self.wait = obs.histogram("mac dcf wait")  # SIM008: spaces
-        self.depth = obs.gauge("queue.depth")  # fine
+    def __init__(self, env):
+        probes = env.probes
+        self.sent = probes.counter("Mac.DCF.Sent")  # SIM008: uppercase
+        self.wait = probes.histogram("mac dcf wait")  # SIM008: spaces
+        self.enqueued = probes.counter("queue.enqueued")  # fine

@@ -283,6 +283,9 @@ class TestSim008:
     def test_uppercase_flagged(self):
         assert codes('c = obs.counter("Mac.Sent")\n') == ["SIM008"]
 
+    def test_probes_binding_flagged(self):
+        assert codes('c = probes.counter("Mac.Sent")\n') == ["SIM008"]
+
     def test_space_flagged(self):
         assert codes('h = registry.histogram("mac dcf wait")\n') == ["SIM008"]
 

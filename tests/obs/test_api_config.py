@@ -1,71 +1,44 @@
-"""Tests for the obs activation API and ObservabilityConfig validation."""
+"""Tests for the probes' instrument binding and ObservabilityConfig."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import ObservabilityConfig
-from repro.obs import api
-from repro.obs.journey import DEFAULT_MAX_JOURNEYS, JourneyTracker
-from repro.obs.registry import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    MetricRegistry,
-)
+from repro.des.core import Environment
+from repro.obs import Observability, ObservabilityConfig
+from repro.obs.journey import DEFAULT_MAX_JOURNEYS
+from repro.obs.probes import NULL_PROBES, Probes
+from repro.obs.registry import NULL_COUNTER, NULL_HISTOGRAM
 
 
-@pytest.fixture(autouse=True)
-def clean_context():
-    """Every test starts and ends with no active observability context."""
-    api.deactivate()
-    yield
-    api.deactivate()
+def observability(**config) -> Observability:
+    return Observability(ObservabilityConfig(**config), Environment())
 
 
 class TestApiBinding:
     def test_inactive_proxies_return_null_instruments(self):
-        assert not api.is_active()
-        assert api.active_registry() is None
-        assert api.counter("mac.drops") is NULL_COUNTER
-        assert api.gauge("queue.depth") is NULL_GAUGE
-        assert api.histogram("tcp.rtt") is NULL_HISTOGRAM
-        assert api.journey_tracker() is None
+        assert NULL_PROBES.registry is None
+        assert NULL_PROBES.counter("mac.drops") is NULL_COUNTER
+        assert NULL_PROBES.histogram("tcp.rtt") is NULL_HISTOGRAM
+        assert NULL_PROBES.journeys is None
+        assert NULL_PROBES.packet_sinks == ()
 
     def test_active_proxies_return_live_instruments(self):
-        registry = MetricRegistry()
-        tracker = JourneyTracker()
-        api.activate(registry, tracker)
-        assert api.is_active()
-        assert api.active_registry() is registry
-        assert api.counter("mac.drops") is registry.counter("mac.drops")
-        assert api.gauge("queue.depth") is registry.gauge("queue.depth")
-        assert api.histogram("tcp.rtt") is registry.histogram("tcp.rtt")
-        assert api.journey_tracker() is tracker
-
-    def test_deactivate_restores_null_path(self):
-        api.activate(MetricRegistry(), JourneyTracker())
-        api.deactivate()
-        assert not api.is_active()
-        assert api.counter("mac.drops") is NULL_COUNTER
-        assert api.journey_tracker() is None
-
-    def test_bound_instruments_outlive_deactivation(self):
-        # Components bind once at construction; the instrument keeps
-        # recording into its registry after the context is cleared.
-        registry = MetricRegistry()
-        api.activate(registry)
-        counter = api.counter("mac.drops")
-        api.deactivate()
-        counter.inc(2)
-        assert registry.counter("mac.drops").value == 2
+        runtime = observability(tracing=True)
+        probes = Probes(runtime)
+        registry = runtime.registry
+        assert probes.registry is registry
+        assert probes.counter("mac.drops") is registry.counter("mac.drops")
+        assert probes.histogram("tcp.rtt") is registry.histogram("tcp.rtt")
+        assert probes.journeys is runtime.journeys
+        assert probes.packet_sinks == (runtime.journeys, runtime.spans)
 
     def test_journeys_without_metrics(self):
-        tracker = JourneyTracker()
-        api.activate(None, tracker)
-        assert not api.is_active()  # metrics side stays on the null path
-        assert api.counter("mac.drops") is NULL_COUNTER
-        assert api.journey_tracker() is tracker
+        runtime = observability(metrics=False)
+        probes = Probes(runtime)
+        assert probes.counter("mac.drops") is NULL_COUNTER
+        assert probes.journeys is runtime.journeys
+        assert probes.packet_sinks == (runtime.journeys,)
 
 
 class TestObservabilityConfig:

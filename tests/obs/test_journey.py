@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
-from repro.obs import api
+from repro.obs import Observability, ObservabilityConfig
 from repro.obs.journey import (
     DEFAULT_MAX_JOURNEYS,
     Hop,
@@ -15,6 +15,7 @@ from repro.obs.journey import (
     aggregate_dwell,
     dwell_breakdown,
 )
+from repro.obs.probes import Probes
 
 
 def data_packet(src=0, dst=1, size=1000, ptype=PacketType.CBR):
@@ -257,14 +258,11 @@ class TestJourneyOrderingUnderDcfRetransmission:
         return pkt
 
     def test_retry_hops_are_time_ordered(self, env):
-        from repro.obs.journey import JourneyTracker as Tracker
-
-        tracker = Tracker()
-        api.activate(None, tracker)
-        try:
-            pkt = self._run_lossy_pair(env, tracker)
-        finally:
-            api.deactivate()
+        env.probes = Probes(
+            Observability(ObservabilityConfig(metrics=False), env)
+        )
+        tracker = env.probes.journeys
+        pkt = self._run_lossy_pair(env, tracker)
         journey = tracker.journey(pkt.uid)
         assert journey is not None
         times = [hop.time for hop in journey.hops]

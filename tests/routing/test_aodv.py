@@ -6,6 +6,7 @@ from repro.des import Environment
 from repro.net.addresses import BROADCAST
 from repro.routing.aodv import Aodv, AodvParams
 from repro.routing.aodv.messages import make_hello, make_rerr, make_rreq, make_rrep
+from repro.trace.writer import Tracer
 from repro.transport.udp import UdpAgent, UdpSink
 
 from tests.conftest import build_line_topology, start_all
@@ -358,6 +359,33 @@ def test_stale_seqno_never_replaces_route(env):
     aodv._update_route(dst=5, next_hop=7, hop_count=1, seqno=4,
                        valid_seqno=True, lifetime=100.0)
     assert aodv.table.get(5).next_hop == 2
+
+
+def test_stale_rrep_for_a_broken_route_drops_the_buffered_packets(env):
+    # Breaking a route bumps its seqno, so an RREP with the old seqno
+    # cannot revive it: the discovery ends with no route, and its
+    # buffered packet must leave a drop record, not vanish.
+    tracer = Tracer()
+    _, nodes = build_line_topology(
+        env, 2, routing_factory=aodv_factory(), tracer=tracer
+    )
+    aodv = nodes[0].routing
+    aodv._update_route(dst=5, next_hop=1, hop_count=2, seqno=6,
+                       valid_seqno=True, lifetime=100.0)
+    aodv.table.invalidate(5, env.now)
+    src = UdpAgent(nodes[0], 1)
+    src.connect(5, 1)
+    src.send(100)
+    assert 5 in aodv._discoveries
+    rrep = make_rrep(src=5, origin=0, dst=5, dst_seqno=6, hop_count=1,
+                     lifetime=10.0, ttl=5)
+    rrep.mac.src = 1
+    aodv.handle_packet(rrep)
+    assert 5 not in aodv._discoveries
+    drops = [(rec.event, rec.layer) for rec in tracer.records
+             if rec.ptype == "cbr" and rec.event == "D"]
+    assert drops == [("D", "NRTE")]
+    assert nodes[0].packets_dropped == 1
 
 
 def test_equal_seqno_shorter_path_wins(env):

@@ -1,4 +1,4 @@
-"""Protocol-monitor unit tests (queue, TCP, TDMA, DCF) on stub state."""
+"""Protocol-monitor and route-table checker unit tests on stub state."""
 
 from __future__ import annotations
 
@@ -6,11 +6,16 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.faults.injector import FaultLogEntry
+from repro.routing.aodv import AodvParams
+from repro.routing.dsdv import DsdvParams
+from repro.routing.table import RouteEntry, RouteTable
 from repro.sanitizer.checkers import (
     DcfMonitor,
     QueueMonitor,
     TcpMonitor,
     TdmaMonitor,
+    check_routing,
 )
 
 
@@ -197,3 +202,41 @@ class TestDcfMonitor:
         monitor.on_backoff(self.mac(cw=15), 15)
         monitor.on_backoff(self.mac(cw=15), 0)
         assert violations == []
+
+
+class TestRouteTableChecks:
+    """A usable route still points at a neighbour crashed at t=1."""
+
+    def scenario(self, routing, params):
+        table = RouteTable()
+        table.upsert(RouteEntry(dst=4, next_hop=3, hop_count=2, seqno=6))
+        node = SimpleNamespace(
+            routing=SimpleNamespace(table=table, params=params),
+            mac=SimpleNamespace(provides_link_feedback=True),
+        )
+        crash = FaultLogEntry(
+            time=1.0, kind="node-crash", action="inject", target=(3,),
+            severity=1.0,
+        )
+        return SimpleNamespace(
+            env=_Env(now=30.0),
+            config=SimpleNamespace(routing=routing),
+            vehicles=[SimpleNamespace(address=0, node=node)],
+            fault_injector=SimpleNamespace(log=[crash]),
+        )
+
+    def test_aodv_stale_route_flagged(self, sink):
+        violations, emit = sink
+        check_routing(self.scenario("aodv", AodvParams()), emit)
+        assert [v.checker for v in violations] == ["aodv-stale-route"]
+
+    def test_dsdv_table_gets_structural_checks_only(self, sink):
+        # DsdvParams has no active_route_timeout to bound a horizon by.
+        violations, emit = sink
+        scenario = self.scenario("dsdv", DsdvParams())
+        check_routing(scenario, emit)
+        assert violations == []
+        table = scenario.vehicles[0].node.routing.table
+        table.get(4).hop_count = -1
+        check_routing(scenario, emit)
+        assert [v.checker for v in violations] == ["aodv-entry-range"]

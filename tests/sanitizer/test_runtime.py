@@ -9,7 +9,7 @@ from repro.core.trials import TRIAL_1, TRIAL_2, TRIAL_3, TrialConfig
 from repro.des.core import Environment
 from repro.faults.schedule import FAULT_PLAN_PRESETS
 from repro.obs.config import ObservabilityConfig
-from repro.sanitizer import api
+from repro.obs.probes import NULL_MONITOR, NULL_PROBES, Probes
 from repro.sanitizer.config import SanitizerConfig
 from repro.sanitizer.runtime import Sanitizer
 from repro.sanitizer.violations import InvariantViolation
@@ -83,15 +83,14 @@ class TestViolationRendering:
 
 class TestApiBinding:
     def test_disabled_returns_null_monitors_and_no_ledger(self):
-        assert api.active_sanitizer() is None
-        assert api.packet_ledger() is None
-        assert api.queue_monitor() is api.NULL_MONITOR
-        assert api.tcp_monitor() is api.NULL_MONITOR
-        assert api.tdma_monitor() is api.NULL_MONITOR
-        assert api.dcf_monitor() is api.NULL_MONITOR
+        assert NULL_PROBES.ledger is None
+        assert NULL_PROBES.queue_monitor is NULL_MONITOR
+        assert NULL_PROBES.tcp_monitor is NULL_MONITOR
+        assert NULL_PROBES.tdma_monitor is NULL_MONITOR
+        assert NULL_PROBES.dcf_monitor is NULL_MONITOR
 
     def test_null_monitor_hooks_are_noops(self):
-        null = api.NULL_MONITOR
+        null = NULL_MONITOR
         null.on_occupancy(None, 999)
         null.on_segment_sent(None, -1)
         null.on_ack(None, -1)
@@ -102,25 +101,21 @@ class TestApiBinding:
 
     def test_active_sanitizer_binds_live_monitors(self):
         sanitizer = Sanitizer(SanitizerConfig(), Environment())
-        api.activate(sanitizer)
-        try:
-            assert api.packet_ledger() is sanitizer.ledger
-            assert api.queue_monitor() is sanitizer.queue_mon
-            assert api.dcf_monitor() is sanitizer.dcf_mon
-        finally:
-            api.deactivate()
-        assert api.queue_monitor() is api.NULL_MONITOR
+        probes = Probes(sanitizer=sanitizer)
+        assert probes.ledger is sanitizer.ledger
+        assert probes.packet_sinks == (sanitizer.ledger,)
+        assert probes.queue_monitor is sanitizer.queue_mon
+        assert probes.tcp_monitor is sanitizer.tcp_mon
+        assert probes.tdma_monitor is sanitizer.tdma_mon
+        assert probes.dcf_monitor is sanitizer.dcf_mon
 
     def test_partial_config_keeps_null_for_disabled_families(self):
         sanitizer = Sanitizer(
             SanitizerConfig(protocols=False), Environment()
         )
-        api.activate(sanitizer)
-        try:
-            assert api.packet_ledger() is sanitizer.ledger
-            assert api.queue_monitor() is api.NULL_MONITOR
-        finally:
-            api.deactivate()
+        probes = Probes(sanitizer=sanitizer)
+        assert probes.ledger is sanitizer.ledger
+        assert probes.queue_monitor is NULL_MONITOR
 
 
 PAPER_TRIALS = {"trial1": TRIAL_1, "trial2": TRIAL_2, "trial3": TRIAL_3}
