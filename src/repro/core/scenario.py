@@ -77,11 +77,8 @@ class EblScenario:
         reset_uid_counter()
         self.config = config
         self.geometry = geometry or ScenarioGeometry()
-        # The sanitizer's kernel checks turn on the event loop's strict
-        # (past-firing) mode; the label lands in SchedulingError messages.
-        self.env = Environment(
-            strict=config.sanitize is not None and config.sanitize.kernel
-        )
+        # The label lands in SchedulingError messages.
+        self.env = Environment()
         self.env.label = config.name
         self.tracer = Tracer() if config.enable_trace else None
         self.observability = (
@@ -223,7 +220,6 @@ class EblScenario:
         config = self.config
         mac_factory = self._mac_factory()
         queue_factory = self._queue_factory()
-        radio = RadioParams(bitrate=config.bitrate)
         self.vehicles: list[Vehicle] = []
         mobilities = self.platoon1.mobilities + self.platoon2.mobilities
         for address, mobility in enumerate(mobilities):
@@ -244,7 +240,6 @@ class EblScenario:
             if config.track_energy:
                 node.phy.energy = EnergyModel(self.env)
             self.vehicles.append(Vehicle(self.env, node, mobility))
-        del radio
 
     def _make_error_model(self, address: int):
         config = self.config

@@ -24,8 +24,6 @@ Example
 
 from repro.des.core import Environment
 from repro.des.events import (
-    AllOf,
-    AnyOf,
     Condition,
     Event,
     Timeout,
@@ -39,24 +37,17 @@ from repro.des.exceptions import (
     StopSimulation,
 )
 from repro.des.process import Process
-from repro.des.resources import Container, FilterStore, Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Condition",
-    "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
     "NORMAL",
     "Process",
-    "Resource",
     "SchedulingError",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "URGENT",
 ]

@@ -7,9 +7,9 @@ import gc
 from heapq import heappop, heappush
 from itertools import count
 from math import isfinite
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Optional, Union
 
-from repro.des.events import AllOf, AnyOf, Event, Timeout, NORMAL
+from repro.des.events import Event, Timeout, NORMAL
 from repro.des.exceptions import SchedulingError, SimulationError, StopSimulation
 from repro.des.process import Process, ProcessGenerator
 from repro.obs.probes import NULL_PROBES, Probes
@@ -20,23 +20,14 @@ _INF = float("inf")
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    Time is a float in simulated seconds and only advances when
-    :meth:`run` or :meth:`step` processes events.
-
-    Parameters
-    ----------
-    initial_time:
-        Simulated time at which the environment starts.
-    strict:
-        When True, :meth:`step` additionally verifies that simulated time
-        never moves backwards (an event firing in the past means the heap
-        was corrupted or bypassed) and raises :class:`SchedulingError`.
-        Delay validation in :meth:`schedule` is always on.
+    Time is a float in simulated seconds, starts at 0 and only advances
+    when :meth:`run` processes events.  :meth:`schedule` rejects invalid
+    delays, and :meth:`run` raises :class:`SchedulingError` if an event
+    would fire before :attr:`now` (the heap was corrupted or bypassed).
     """
 
-    def __init__(self, initial_time: float = 0.0, strict: bool = False) -> None:
-        self._now = float(initial_time)
-        self._strict = bool(strict)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
@@ -69,11 +60,6 @@ class Environment:
         return self._now
 
     @property
-    def strict(self) -> bool:
-        """True when past-firing detection is enabled."""
-        return self._strict
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_proc
@@ -97,15 +83,7 @@ class Environment:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition that fires when all ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
-    # -- scheduling & stepping ---------------------------------------------
+    # -- scheduling ----------------------------------------------------------
 
     def schedule(
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
@@ -171,14 +149,10 @@ class Environment:
             event=event,
         )
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     # -- observability hooks -------------------------------------------------
 
     def _past_event_error(self, at: float, event: Event) -> SchedulingError:
-        """The strict-mode error for an event firing in the past."""
+        """The error for an event popped with a time before :attr:`now`."""
         return SchedulingError(
             f"event {event!r} fired at t={at}, {self._now - at} s in the "
             f"past — the event heap was corrupted or bypassed "
@@ -237,46 +211,6 @@ class Environment:
 
         self.schedule = schedule  # type: ignore[method-assign]
 
-    def _uninstall_span_tracer(self) -> None:
-        """Detach the span tracer and restore the untraced fast path."""
-        if self._span_tracer is None:
-            return
-        self._span_tracer = None
-        self.__dict__.pop("schedule", None)
-        self._queue = [
-            (entry[0], entry[1], entry[2], entry[3]) for entry in self._queue
-        ]
-
-    def step(self) -> None:
-        """Process the single next event, advancing simulated time."""
-        try:
-            item = heappop(self._queue)
-        except IndexError:
-            raise SimulationError("no scheduled events") from None
-
-        at = item[0]
-        event = item[3]
-        if self._strict and at < self._now:
-            raise self._past_event_error(at, event)
-        self._now = at
-        self.events_processed += 1
-
-        callbacks, event.callbacks = event.callbacks, None
-        tracer = self._span_tracer
-        if tracer is not None:
-            if len(tracer.raw) < tracer.max_spans:
-                tracer.raw.append(item)
-                tracer.raw_callbacks.append(callbacks)
-            else:
-                tracer.dropped += 1
-        for callback in callbacks:
-            callback(event)
-
-        if event._ok is False and not event.defused:
-            # Nobody handled the failure: surface it to the caller of run().
-            exc = event._value
-            raise exc
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 
@@ -302,20 +236,19 @@ class Environment:
                 return until.value
             until.callbacks.append(self._stop_callback)
 
-        # The hot loop.  This duplicates :meth:`step` with the heap, the
-        # strict flag, and the pop bound to locals: on long runs the event
-        # loop dominates wall-clock, and the per-event attribute lookups
-        # are measurable.  Keep the variants in sync.
+        # The hot loop, in two variants selected once: the plain loop (no
+        # tracer attached) and the span-traced loop, which adds one bounds
+        # check and two list appends per event and resolves everything
+        # else lazily at query time.  Keep their shared body in sync.  On
+        # long runs the event loop dominates wall-clock and per-event
+        # attribute lookups are measurable, so the heap, the pop and the
+        # clock are bound to locals; the past-event check compares the
+        # popped time with the local clock.
         # ``events_processed`` is updated in-loop (not batched into a
         # local and flushed on exit) so heartbeat callbacks running *inside*
         # this loop observe a current count.
-        # Two loop variants, selected once: the plain loop (no tracer
-        # attached — per-event cost identical to before tracing
-        # existed) and the span-traced loop (minimal extra work: one
-        # bounds check and two list appends per event, everything else
-        # resolved lazily at query time).
         queue = self._queue
-        strict = self._strict
+        now = self._now
         pop = heappop
         tracer = self._span_tracer
         # While a tracer is recording, every executed event and callback
@@ -332,9 +265,9 @@ class Environment:
             if tracer is None:
                 while queue:
                     at, _, _, event = pop(queue)
-                    if strict and at < self._now:
+                    if at < now:
                         raise self._past_event_error(at, event)
-                    self._now = at
+                    self._now = now = at
                     self.events_processed += 1
 
                     callbacks, event.callbacks = event.callbacks, None
@@ -358,9 +291,9 @@ class Environment:
                     item = pop(queue)
                     at = item[0]
                     event = item[3]
-                    if strict and at < self._now:
+                    if at < now:
                         raise self._past_event_error(at, event)
-                    self._now = at
+                    self._now = now = at
                     self.events_processed += 1
 
                     callbacks, event.callbacks = event.callbacks, None

@@ -95,21 +95,8 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state (ok/value) of another event.
-
-        Used as a callback to chain events together.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
     def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
+        return Condition(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -120,7 +107,7 @@ class Timeout(Event):
     subclass) from :meth:`Environment.schedule`.
     """
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         # Timeouts are the single most-allocated event type (every AIFS
@@ -132,13 +119,7 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.defused = False
-        self._delay = delay
         env.schedule(self, priority=NORMAL, delay=delay)
-
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
 
 
 class Initialize(Event):
@@ -188,20 +169,18 @@ class Interruption(Event):
 
 
 class Condition(Event):
-    """Composite event over several sub-events (``&`` / ``|``)."""
+    """Fires with the first of its sub-events to fire (``a | b``).
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    Its value maps each sub-event that had fired successfully by then to
+    that event's value, in definition order.  A failed sub-event fails
+    the condition with the same exception instead.
+    """
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list["Event"], int], bool],
-        events: Iterable["Event"],
-    ) -> None:
+    __slots__ = ("_events",)
+
+    def __init__(self, env: "Environment", events: Iterable["Event"]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
-        self._count = 0
 
         for event in self._events:
             if event.env is not env:
@@ -213,9 +192,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-        if self._value is _PENDING and self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
     def _collect_values(self) -> dict["Event", Any]:
         """Values of all processed-and-ok sub-events, in definition order."""
         return {
@@ -225,40 +201,11 @@ class Condition(Event):
     def _check(self, event: "Event") -> None:
         if self._value is not _PENDING:
             return
-        self._count += 1
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        else:
             self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list["Event"], count: int) -> bool:
-        """Evaluate to done when every sub-event has fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list["Event"], count: int) -> bool:
-        """Evaluate to done when at least one sub-event has fired."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that fires once all of ``events`` have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable["Event"]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires once any of ``events`` has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable["Event"]) -> None:
-        super().__init__(env, Condition.any_events, events)
 
 
 class DeferredCall(Event):

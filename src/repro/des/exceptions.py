@@ -13,9 +13,10 @@ class SchedulingError(SimulationError, ValueError):
     """An event was scheduled with an invalid time.
 
     Raised by :meth:`Environment.schedule` for non-finite or negative
-    delays, and — in strict mode — when the event heap would fire an event
-    in the simulated past.  Subclasses :class:`ValueError` so callers that
-    historically caught ``ValueError`` for negative timeouts keep working.
+    delays, and by :meth:`Environment.run` when the event heap would fire
+    an event in the simulated past.  Subclasses :class:`ValueError` so
+    callers that historically caught ``ValueError`` for negative timeouts
+    keep working.
 
     Attributes
     ----------

@@ -47,11 +47,6 @@ class Process(Event):
         """True while the wrapped generator has not terminated."""
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits for, if any."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`~repro.des.exceptions.Interrupt` into the process."""
         Interruption(self, cause)

@@ -468,8 +468,8 @@ def load_project(paths: Iterable[str], jobs: int = 1) -> Project:
         display = path.as_posix()
         if diag is not None:
             diagnostics.append(diag)
+        if source is None:
             continue
-        assert source is not None
         try:
             tree = ast.parse(source, filename=display)
         except SyntaxError as exc:

@@ -536,9 +536,9 @@ class SetIterationRule(Rule):
 class QueueBypassRule(Rule):
     """SIM006: mutating ``Environment._queue`` without ``schedule()``.
 
-    ``schedule()`` is where delay validation, FIFO tie-breaking and (in
-    strict mode) past-scheduling detection live; pushing into the heap
-    directly silently skips all three.
+    ``schedule()`` is where delay validation and FIFO tie-breaking live;
+    pushing into the heap directly silently skips both, and an entry in
+    the past is caught only when ``Environment.run`` pops it.
     """
 
     code = "SIM006"

@@ -2,9 +2,9 @@
 
 These replicate ns-2's ``Queue/DropTail``, ``Queue/DropTail/PriQueue`` (the
 paper's fixed parameter — routing-protocol packets jump the queue), and a
-RED queue as an extension.  Unlike :class:`repro.des.Store`, a full queue
-never blocks the producer: the packet is *dropped*, and a drop callback is
-invoked so the trace layer can record it, exactly as ns-2 does.
+RED queue as an extension.  A full queue never blocks the producer: the
+packet is *dropped*, and a drop callback is invoked so the trace layer can
+record it, exactly as ns-2 does.
 """
 
 from __future__ import annotations

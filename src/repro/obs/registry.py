@@ -132,8 +132,8 @@ class Histogram:
         if not isfinite(value):
             raise ValueError(
                 f"histogram {self.name!r} rejects non-finite value {value!r} "
-                "(NaN/inf observations are upstream bugs, like non-finite "
-                "delays under kernel strict mode)"
+                "(NaN/inf observations are upstream bugs, like the non-finite "
+                "delays the kernel rejects)"
             )
         self.counts[bisect_left(self.edges, value)] += 1
         self.count += 1

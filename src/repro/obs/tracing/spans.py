@@ -128,11 +128,6 @@ class SpanTracer:
         """Attach to ``env``; every event from here on is recorded."""
         env._install_span_tracer(self)
 
-    def uninstall(self) -> None:
-        """Detach from the environment (recorded spans are kept)."""
-        if self._env is not None:
-            self._env._uninstall_span_tracer()
-
     def record(
         self, event: str, time: float, node: int, layer: str, pkt: Any
     ) -> None:
@@ -181,12 +176,8 @@ class SpanTracer:
             fired_at = item[0]
             sid = item[2]
             event = item[3]
-            if len(item) >= 6:
-                scheduled_at = item[4]
-                parent_index = item[5] - base - 1
-            else:  # recorded via step() before install widened the heap
-                scheduled_at = fired_at
-                parent_index = -1
+            scheduled_at = item[4]
+            parent_index = item[5] - base - 1
             parent = (
                 raw[parent_index][2] if 0 <= parent_index < seq else None
             )

@@ -15,9 +15,9 @@ Checker families (see docs/ROBUSTNESS.md):
   terminates as delivered, dropped-with-reason, attributed to a
   recorded loss (collision, fault outage, ...), or resident in a
   declared buffer at trial end.  Cross-validated against obs journeys.
-* **kernel** — event-heap pop monotonicity (strict mode), heap
-  integrity at trial end, no dead MAC service loops, no orphaned
-  interface-queue waiters.
+* **kernel** — heap integrity at trial end, no dead MAC service loops,
+  no orphaned interface-queue waiters.  (Event-heap pop monotonicity is
+  checked by the kernel itself on every run.)
 * **protocols** — TCP seq/ack monotonicity, queue occupancy <= limit,
   AODV route entries never pointing at long-dead neighbours, TDMA
   slot-ownership exclusivity, 802.11 NAV/backoff non-negativity.

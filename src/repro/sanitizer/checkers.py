@@ -316,7 +316,7 @@ def check_routing(scenario: "EblScenario", emit: Emit) -> None:
             if entry.dst != dst:
                 emit(
                     InvariantViolation(
-                        checker="aodv-table-key",
+                        checker="route-table-key",
                         layer="routing",
                         message=(
                             f"node {vehicle.address}: route keyed {dst} "
@@ -329,7 +329,7 @@ def check_routing(scenario: "EblScenario", emit: Emit) -> None:
             if entry.hop_count < 0 or entry.seqno < 0:
                 emit(
                     InvariantViolation(
-                        checker="aodv-entry-range",
+                        checker="route-entry-range",
                         layer="routing",
                         message=(
                             f"node {vehicle.address}: route to {dst} has "

@@ -26,8 +26,8 @@ class SanitizerConfig:
 
     #: Packet conservation ledger + journey cross-validation.
     ledger: bool = True
-    #: Kernel checks: strict scheduling, end-of-trial heap/process/
-    #: resource audits.
+    #: Kernel checks: end-of-trial heap, MAC service-loop and queue-waiter
+    #: audits.
     kernel: bool = True
     #: Protocol monitors: TCP, queues, AODV, TDMA, 802.11 DCF.
     protocols: bool = True

@@ -9,10 +9,6 @@ def test_initial_time_defaults_to_zero():
     assert Environment().now == 0.0
 
 
-def test_initial_time_can_be_set():
-    assert Environment(initial_time=42.5).now == 42.5
-
-
 def test_run_empty_environment_returns_none():
     env = Environment()
     assert env.run() is None
@@ -43,7 +39,8 @@ def test_run_until_time_stops_clock_exactly():
 
 
 def test_run_until_past_time_raises():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.run(until=10.0)
     with pytest.raises(ValueError):
         env.run(until=5.0)
 
@@ -72,22 +69,6 @@ def test_run_until_already_processed_event_returns_immediately():
     p = env.process(empty(env))
     env.run()
     assert env.run(until=p) is None
-
-
-def test_step_with_no_events_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
-def test_peek_returns_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-
-
-def test_peek_empty_is_infinite():
-    assert Environment().peek() == float("inf")
 
 
 def test_events_fire_in_time_order():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Interrupt, SimulationError
+from repro.des import Environment, Interrupt, SimulationError
 
 
 def test_event_starts_untriggered():
@@ -73,43 +73,16 @@ def test_timeout_carries_value():
     assert env.run(until=env.process(proc(env))) == "hello"
 
 
-def test_timeout_delay_property():
-    env = Environment()
-    assert env.timeout(2.5).delay == 2.5
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    t1, t2 = env.timeout(1.0, "a"), env.timeout(2.0, "b")
-
-    def proc(env):
-        results = yield AllOf(env, [t1, t2])
-        return list(results.values())
-
-    assert env.run(until=env.process(proc(env))) == ["a", "b"]
-    assert env.now == 2.0
-
-
 def test_any_of_fires_on_first_event():
     env = Environment()
-    t1, t2 = env.timeout(1.0, "fast"), env.timeout(5.0, "slow")
+    t1, t2 = env.timeout(5.0, "slow"), env.timeout(1.0, "fast")
 
     def proc(env):
-        results = yield AnyOf(env, [t1, t2])
-        return list(results.values())
+        return (yield t1 | t2)
 
-    assert env.run(until=env.process(proc(env))) == ["fast"]
+    # The value maps only the sub-events that had fired, to their values.
+    assert env.run(until=env.process(proc(env))) == {t2: "fast"}
     assert env.now == 1.0
-
-
-def test_and_operator_builds_all_of():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0) & env.timeout(3.0)
-        return env.now
-
-    assert env.run(until=env.process(proc(env))) == 3.0
 
 
 def test_or_operator_builds_any_of():
@@ -125,17 +98,7 @@ def test_or_operator_builds_any_of():
 def test_condition_over_mixed_environments_rejected():
     env1, env2 = Environment(), Environment()
     with pytest.raises(ValueError):
-        AllOf(env1, [env1.timeout(1), env2.timeout(1)])
-
-
-def test_empty_any_of_triggers_immediately():
-    env = Environment()
-
-    def proc(env):
-        yield AnyOf(env, [])
-        return env.now
-
-    assert env.run(until=env.process(proc(env))) == 0.0
+        env1.timeout(1) | env2.timeout(1)
 
 
 def test_interrupt_is_delivered_with_cause():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment
+from repro.des import Environment
 from repro.des.events import NORMAL, URGENT
 
 
@@ -13,7 +13,7 @@ def test_condition_fails_when_subevent_fails():
 
     def proc(env):
         try:
-            yield AllOf(env, [good, bad])
+            yield good | bad
         except RuntimeError as exc:
             return str(exc)
 
@@ -22,23 +22,23 @@ def test_condition_fails_when_subevent_fails():
     assert env.run(until=p) == "sub-event died"
 
 
-def test_all_of_with_already_processed_events():
+def test_or_with_already_processed_event_fires_at_once():
     env = Environment()
     t = env.timeout(1.0, value="early")
     env.run(until=2.0)
 
     def proc(env):
-        results = yield AllOf(env, [t, env.timeout(1.0, value="late")])
-        return list(results.values())
+        results = yield t | env.timeout(1.0, value="late")
+        return list(results.values()), env.now
 
-    assert env.run(until=env.process(proc(env))) == ["early", "late"]
+    assert env.run(until=env.process(proc(env))) == (["early"], 2.0)
 
 
 def test_nested_conditions_compose():
     env = Environment()
 
     def proc(env):
-        yield (env.timeout(1.0) & env.timeout(2.0)) | env.timeout(10.0)
+        yield (env.timeout(3.0) | env.timeout(2.0)) | env.timeout(10.0)
         return env.now
 
     assert env.run(until=env.process(proc(env))) == 2.0
@@ -105,7 +105,7 @@ def test_process_waiting_on_failed_condition_gets_original_cause():
 
     def proc(env):
         try:
-            yield AnyOf(env, [bad, env.event()])
+            yield bad | env.event()
         except KeyError as exc:
             return exc.__cause__ is not None
 

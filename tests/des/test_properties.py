@@ -1,9 +1,12 @@
 """Property-based tests for kernel invariants (hypothesis)."""
 
+from functools import reduce
+from operator import or_
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Store
+from repro.des import Environment
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -41,81 +44,14 @@ def test_sequential_delays_accumulate_exactly(delays):
     assert env.run(until=env.process(proc(env))) == expected
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=1000), min_size=0, max_size=100)
-)
-@settings(max_examples=100, deadline=None)
-def test_store_conserves_items(items):
-    """Everything put into a Store comes out exactly once, in FIFO order."""
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-            yield env.timeout(0.5)
-
-    def consumer(env):
-        for _ in items:
-            received.append((yield store.get()))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
-
-
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.lists(st.floats(min_value=0.1, max_value=10), min_size=1, max_size=20),
-)
-@settings(max_examples=50, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, hold_times):
-    """Concurrent users of a Resource never exceed its capacity."""
-    from repro.des import Resource
-
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-    in_use = [0]
-    max_in_use = [0]
-
-    def user(env, hold):
-        with res.request() as req:
-            yield req
-            in_use[0] += 1
-            max_in_use[0] = max(max_in_use[0], in_use[0])
-            yield env.timeout(hold)
-            in_use[0] -= 1
-
-    for hold in hold_times:
-        env.process(user(env, hold))
-    env.run()
-    assert max_in_use[0] <= capacity
-    assert in_use[0] == 0
-
-
-@given(st.lists(st.floats(min_value=0, max_value=50), min_size=2, max_size=20))
-@settings(max_examples=50, deadline=None)
-def test_all_of_completes_at_max_delay(delays):
-    """AllOf over timeouts completes exactly at the maximum delay."""
-    env = Environment()
-
-    def proc(env):
-        yield env.all_of([env.timeout(d) for d in delays])
-        return env.now
-
-    assert env.run(until=env.process(proc(env))) == max(delays)
-
-
 @given(st.lists(st.floats(min_value=0, max_value=50), min_size=2, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_any_of_completes_at_min_delay(delays):
-    """AnyOf over timeouts completes exactly at the minimum delay."""
+    """A chain of ``|`` over timeouts completes exactly at the minimum delay."""
     env = Environment()
 
     def proc(env):
-        yield env.any_of([env.timeout(d) for d in delays])
+        yield reduce(or_, [env.timeout(d) for d in delays])
         return env.now
 
     assert env.run(until=env.process(proc(env))) == min(delays)

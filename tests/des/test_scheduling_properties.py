@@ -1,24 +1,26 @@
 """Seeded property tests for kernel ordering and validation invariants.
 
-Complements ``test_properties.py`` (time monotonicity, store
-conservation) with the ordering guarantees the pinned trace digests
-lean on: same-time events fire in (priority, insertion) order,
-composite conditions trigger per their semantics, and invalid delays are
-rejected regardless of value.
+Complements ``test_properties.py`` (time monotonicity, ``|`` at the
+minimum delay) with the ordering guarantees the pinned trace digests
+lean on: same-time events fire in (priority, insertion) order in both
+run loops, ``a | b`` fires with its first sub-event, and invalid delays
+are rejected regardless of value.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.des import Environment, SchedulingError
 from repro.des.events import NORMAL, URGENT
+from tests.des.conftest import both_loops, new_env
 
 
+@both_loops
 @given(
     st.lists(
         st.tuples(st.sampled_from([URGENT, NORMAL]), st.booleans()),
@@ -27,10 +29,10 @@ from repro.des.events import NORMAL, URGENT
     )
 )
 @settings(max_examples=100, deadline=None)
-def test_same_time_events_fire_in_priority_then_insertion_order(plan):
+def test_ties_fire_in_priority_then_insertion_order(traced, plan):
     """Ties at one timestamp resolve by (priority, insertion sequence),
     whether an event was scheduled by delay or by absolute time."""
-    env = Environment()
+    env = new_env(traced)
     fired = []
     priorities = [priority for priority, _ in plan]
 
@@ -55,43 +57,25 @@ def test_same_time_events_fire_in_priority_then_insertion_order(plan):
 
 
 @given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20
-    )
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=0.0, max_value=100.0),
 )
+@example(1.0, 1.0)
 @settings(max_examples=100, deadline=None)
-def test_all_of_fires_at_last_event_with_every_value(delays):
-    """AllOf triggers once the slowest sub-event fires, collecting all."""
+def test_any_of_fires_at_first_event(first, second):
+    """``a | b`` triggers with the earlier sub-event (``a`` on a tie)."""
     env = Environment()
-    timeouts = [env.timeout(d, value=i) for i, d in enumerate(delays)]
-    condition = env.all_of(timeouts)
+    a = env.timeout(first, value="a")
+    b = env.timeout(second, value="b")
+    condition = a | b
     done_at = []
     condition.callbacks.append(lambda event: done_at.append(env.now))
     env.run()
-    assert done_at == [max(delays)]
-    assert condition.ok
-    assert list(condition.value.values()) == list(range(len(delays)))
-
-
-@given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_any_of_fires_at_first_event(delays):
-    """AnyOf triggers with the earliest sub-event (earliest-created on ties)."""
-    env = Environment()
-    timeouts = [env.timeout(d, value=i) for i, d in enumerate(delays)]
-    condition = env.any_of(timeouts)
-    done_at = []
-    condition.callbacks.append(lambda event: done_at.append(env.now))
-    env.run()
-    assert done_at == [min(delays)]
-    # The winning value belongs to the first timeout created with the
-    # minimum delay — insertion order breaks the tie.
-    winner = delays.index(min(delays))
-    assert list(condition.value.values()) == [winner]
+    assert done_at == [min(first, second)]
+    # Insertion order breaks the tie: ``a`` was created first, and ``b``
+    # had not fired yet when ``a`` triggered the condition.
+    winner = a if first <= second else b
+    assert condition.value == {winner: winner.value}
 
 
 @given(
@@ -105,7 +89,7 @@ def test_any_of_fires_at_first_event(delays):
 @settings(max_examples=100, deadline=None)
 def test_invalid_delays_always_raise_scheduling_error(delay):
     """Every negative, NaN, or infinite delay is rejected — any value."""
-    env = Environment(strict=True)
+    env = Environment()
     with pytest.raises(SchedulingError):
         env.timeout(delay)
     with pytest.raises(SchedulingError):
@@ -113,9 +97,10 @@ def test_invalid_delays_always_raise_scheduling_error(delay):
     with pytest.raises(SchedulingError):
         env.schedule_at(env.event(), env.now + delay)
     # Nothing leaked onto the heap from the failed attempts.
-    assert env.peek() == math.inf
+    assert env.pending_events == 0
 
 
+@both_loops
 @given(
     st.lists(
         st.tuples(
@@ -127,9 +112,9 @@ def test_invalid_delays_always_raise_scheduling_error(delay):
     )
 )
 @settings(max_examples=100, deadline=None)
-def test_strict_mode_fires_everything_without_false_positives(schedule_plan):
-    """Strict past-firing detection never trips on a valid schedule."""
-    env = Environment(strict=True)
+def test_past_event_check_has_no_false_positives(traced, schedule_plan):
+    """The past-event check never trips on a valid schedule."""
+    env = new_env(traced)
     fired = 0
 
     def bump(event):

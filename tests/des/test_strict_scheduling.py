@@ -1,4 +1,4 @@
-"""Kernel hardening: delay validation and strict-mode past-firing detection."""
+"""Kernel hardening: delay validation and past-firing detection."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from heapq import heappush
 import pytest
 
 from repro.des import Environment, SchedulingError, SimulationError
+from tests.des.conftest import both_loops, new_env
 
 
 # -- always-on validation in schedule()/timeout() ------------------------------
@@ -21,7 +22,7 @@ def test_schedule_rejects_invalid_delay(delay):
     # The absolute-time entry point rejects the same instants.
     with pytest.raises(SchedulingError):
         env.schedule_at(env.event(), env.now + delay)
-    assert env.peek() == math.inf  # nothing was enqueued
+    assert env.pending_events == 0  # nothing was enqueued
 
 
 @pytest.mark.parametrize("delay", [math.nan, -0.5, math.inf])
@@ -41,7 +42,8 @@ def test_scheduling_error_is_value_error_and_simulation_error():
 
 
 def test_scheduling_error_carries_context():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     event = env.event()
     # A delay of -2 s and the absolute time 3.0 name the same past instant.
     for schedule in (
@@ -87,51 +89,23 @@ def test_zero_delay_still_valid():
     assert event.processed
 
 
-# -- strict mode ---------------------------------------------------------------
+# -- past-firing detection in run() -------------------------------------------
 
 
-def test_strict_flag_exposed():
-    assert Environment(strict=True).strict
-    assert not Environment().strict
-
-
-@pytest.mark.parametrize("delay", [math.nan, -1.0])
-def test_strict_env_rejects_bad_delays_too(delay):
-    env = Environment(strict=True)
-    with pytest.raises(SchedulingError):
-        env.schedule(env.event(), delay=delay)
-    with pytest.raises(SchedulingError):
-        env.schedule_at(env.event(), env.now + delay)
-
-
-def test_strict_step_detects_event_in_the_past():
-    env = Environment(strict=True, initial_time=10.0)
+@both_loops
+def test_run_detects_event_in_the_past(traced):
+    env = new_env(traced)
+    env.run(until=10.0)
     event = env.event()
     event._ok = True
     event._value = None
-    # Bypass schedule() the way a buggy subclass would.
-    heappush(env._queue, (4.0, 1, 0, event))  # simlint: disable=SIM006
+    # Bypass schedule() the way a buggy subclass would, pushing the entry
+    # shape the loop pops (the traced loop's carries two more fields).
+    entry = (4.0, 1, 0, event)
+    if traced:
+        entry += (env.now, env.events_processed)
+    heappush(env._queue, entry)  # simlint: disable=SIM006
     with pytest.raises(SchedulingError) as excinfo:
-        env.step()
+        env.run()
     assert excinfo.value.now == 10.0
     assert "past" in str(excinfo.value)
-
-
-def test_non_strict_step_keeps_legacy_tolerance():
-    # Without strict mode a corrupted heap still steps (legacy behaviour);
-    # time simply moves backwards.
-    env = Environment(initial_time=10.0)
-    event = env.event()
-    event._ok = True
-    event._value = None
-    heappush(env._queue, (4.0, 1, 0, event))  # simlint: disable=SIM006
-    env.step()
-    assert env.now == 4.0
-
-
-def test_strict_env_runs_normal_simulations():
-    env = Environment(strict=True)
-    fired = []
-    env.process(iter_timeouts(env, fired, [0.5, 0.25]))
-    env.run()
-    assert env.now == pytest.approx(0.75)

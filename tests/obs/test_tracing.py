@@ -56,7 +56,6 @@ class TestSpanRecording:
 
         env.process(proc(env))
         env.run()
-        tracer.uninstall()
         spans = tracer.finalize()
         # Initialize + three timeouts + process completion.
         assert len(spans) == 5
@@ -114,25 +113,6 @@ class TestSpanRecording:
         # Initialize + 5 timeouts + process completion - 2 recorded.
         assert tracer.dropped == 5
         assert len(tracer.finalize()) == 2
-
-    def test_uninstall_stops_recording_and_restores_schedule(self):
-        env, tracer = traced_env()
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        recorded = len(tracer.raw)
-        tracer.uninstall()
-        assert "schedule" not in env.__dict__  # class method restored
-
-        def proc2(env):
-            yield env.timeout(1.0)
-
-        env.process(proc2(env))
-        env.run()
-        assert len(tracer.raw) == recorded
 
     def test_max_spans_must_be_positive(self):
         with pytest.raises(ValueError):

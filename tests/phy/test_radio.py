@@ -87,7 +87,6 @@ def test_sensing_zone_signal_is_not_decoded(env, channel):
     tx = make_phy(env, channel, 0.0)
     rx = make_phy(env, channel, 400.0)
     tx.transmit(data_packet(), duration=0.004)
-    env.step()  # process transmit-side event scheduling
     env.run(until=0.002)
     assert rx.medium_busy
     env.run()

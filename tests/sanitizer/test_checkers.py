@@ -239,4 +239,24 @@ class TestRouteTableChecks:
         table = scenario.vehicles[0].node.routing.table
         table.get(4).hop_count = -1
         check_routing(scenario, emit)
-        assert [v.checker for v in violations] == ["aodv-entry-range"]
+        assert [v.checker for v in violations] == ["route-entry-range"]
+
+    @pytest.mark.parametrize(
+        "routing, params, expected",
+        [
+            ("aodv", AodvParams(), ["route-table-key", "aodv-stale-route"]),
+            ("dsdv", DsdvParams(), ["route-table-key"]),
+        ],
+        ids=["aodv", "dsdv"],
+    )
+    def test_route_under_wrong_key_flagged(
+        self, sink, routing, params, expected
+    ):
+        # The structural checks run on every table, under names that
+        # belong to no one protocol.
+        violations, emit = sink
+        scenario = self.scenario(routing, params)
+        entries = scenario.vehicles[0].node.routing.table._entries
+        entries[5] = entries.pop(4)
+        check_routing(scenario, emit)
+        assert [v.checker for v in violations] == expected
